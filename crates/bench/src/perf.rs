@@ -1,7 +1,7 @@
 //! Measurement core of the `vgbl-bench` binary: one deterministic
 //! workload walked through every pipeline stage the paper's learner
 //! sessions exercise — encode, full decode, cold and cached seeks,
-//! streaming fetch, and cohort playback (per-session and batched) —
+//! streaming fetch, cohort playback, and the fleet and executor —
 //! timed as min-of-iterations wall clock and emitted as a
 //! machine-readable `BENCH_<n>.json` snapshot.
 //!
@@ -33,10 +33,11 @@ use vgbl::media::codec::{Decoder, EncodedVideo, Quality};
 use vgbl::media::FrameKind;
 use vgbl::media::seek::{seek, seek_cached};
 use vgbl::media::SegmentId;
+use vgbl::obs::hash::{fnv1a_extend, FNV_OFFSET};
 use vgbl::obs::{folded_stacks, hotspot_table, Obs, SpanRecorder};
 use vgbl::runtime::{
-    run_fleet, run_playback_cohort, run_playback_cohort_batched, run_playback_cohort_with_stats,
-    ArrivalPlan, FleetConfig, FleetWorkload, ShardFault, ShardFaultKind, SupervisorConfig,
+    run_fleet, run_playback_cohort, run_playback_cohort_with_stats, ArrivalPlan, FleetConfig,
+    FleetWorkload, ShardFault, ShardFaultKind, SupervisorConfig,
 };
 use vgbl::store::{DiskFaultPlan, StoreConfig};
 use vgbl::stream::{simulate, ChunkMap, LinkModel, PrefetchPolicy, TraceStep};
@@ -46,15 +47,17 @@ use crate::{bench_footage, encode, table_for, RATE};
 /// The operations every snapshot covers, in emission order. `fleet`
 /// arrived with the `vgbl-bench/2` schema, `executor` with
 /// `vgbl-bench/3`, `durability` with `vgbl-bench/4` and `journey` with
-/// `vgbl-bench/5`; older snapshots carry prefixes of this list.
-pub const OPS: [&str; 11] = [
+/// `vgbl-bench/5`; older snapshots carry prefixes of this list. The
+/// retired `cohort_batched` op (schemas 1–5 emitted it after
+/// `cohort_playback`) is no longer required, so old snapshots that
+/// still carry it validate unchanged.
+pub const OPS: [&str; 10] = [
     "encode",
     "decode_all",
     "seek_cold",
     "seek_cached",
     "stream_fetch",
     "cohort_playback",
-    "cohort_batched",
     "fleet",
     "executor",
     "durability",
@@ -68,13 +71,13 @@ fn required_ops(json: &str) -> &'static [&'static str] {
     if json.contains("\"vgbl-bench/5\"") {
         &OPS
     } else if json.contains("\"vgbl-bench/4\"") {
-        &OPS[..10]
-    } else if json.contains("\"vgbl-bench/3\"") {
         &OPS[..9]
-    } else if json.contains("\"vgbl-bench/2\"") {
+    } else if json.contains("\"vgbl-bench/3\"") {
         &OPS[..8]
-    } else {
+    } else if json.contains("\"vgbl-bench/2\"") {
         &OPS[..7]
+    } else {
+        &OPS[..6]
     }
 }
 
@@ -255,7 +258,6 @@ fn target_per_s(name: &str) -> f64 {
         "seek_cached" => 5_000_000.0,
         "stream_fetch" => 2_000_000.0,
         "cohort_playback" => 6_000.0,
-        "cohort_batched" => 2_500.0,
         "fleet" => 1_000.0,
         "executor" => 100.0,
         "durability" => 500.0,
@@ -374,25 +376,6 @@ pub fn run(mode: Mode, label: &str) -> BenchReport {
         served = report.frames_served;
     });
     ops.push(push("cohort_playback", wall, served, "frames"));
-
-    // cohort_batched: the same walks in tick-lockstep with batched GOP
-    // decode (each GOP once per tick, fanned over the pool).
-    let mut served = 0usize;
-    let wall = timed(&mut rec, "cohort_batched", &mut || {
-        let cache = Arc::new(GopCache::new(n_gops));
-        let report = run_playback_cohort_batched(
-            video.clone(),
-            &table,
-            cache,
-            w.sessions,
-            w.workers,
-            w.steps,
-        )
-        .expect("batched cohort runs");
-        assert_eq!(report.failed, 0, "bench cohort must not fail");
-        served = report.frames_served;
-    });
-    ops.push(push("cohort_batched", wall, served, "frames"));
 
     // fleet: the sharded supervisor routing a seeded synthetic stampede
     // through a mid-run shard crash — consistent-hash routing, admission,
@@ -669,37 +652,24 @@ pub fn merge_trajectory(before: &str, after: &str) -> String {
     out
 }
 
-/// FNV-1a over a byte slice, chained.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn encoded_checksum(video: &EncodedVideo) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for f in &video.frames {
         let kind = match f.kind {
             FrameKind::Intra => 0u8,
             FrameKind::Inter => 1,
             FrameKind::Skip => 2,
         };
-        h = fnv1a(h, &[kind]);
-        h = fnv1a(h, &(f.data.len() as u64).to_le_bytes());
-        h = fnv1a(h, &f.data);
+        h = fnv1a_extend(h, &[kind]);
+        h = fnv1a_extend(h, &(f.data.len() as u64).to_le_bytes());
+        h = fnv1a_extend(h, &f.data);
     }
     h
 }
 
 fn decoded_checksum(video: &EncodedVideo) -> u64 {
     let decoded = Decoder::default().decode_all(video).expect("golden video decodes");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for f in &decoded.frames {
-        h = fnv1a(h, f.raw());
-    }
-    h
+    decoded.frames.iter().fold(FNV_OFFSET, |h, f| fnv1a_extend(h, f.raw()))
 }
 
 /// Byte-identity fingerprints of the codec over seeded footage: FNV-1a

@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
+use vgbl_obs::hash::{fnv1a_extend, scramble, FNV_OFFSET, GOLDEN_GAMMA};
 use vgbl_obs::{Counter, Obs, Series, SeriesSpec};
 
 use crate::codec::EncodedVideo;
@@ -56,13 +57,8 @@ impl VideoId {
     /// equal ids; payload hashing makes collisions between different
     /// streams vanishingly unlikely.
     pub fn of(video: &EncodedVideo) -> VideoId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| h = fnv1a_extend(h, bytes);
         eat(&video.width.to_le_bytes());
         eat(&video.height.to_le_bytes());
         eat(&video.gop.to_le_bytes());
@@ -98,10 +94,7 @@ impl GopKey {
     /// Shard selector: splitmix-style scramble so consecutive keyframes
     /// of one video spread across shards.
     fn shard_hash(self) -> u64 {
-        let mut z = self.video.0 ^ (self.keyframe as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        scramble(self.video.0 ^ (self.keyframe as u64).wrapping_mul(GOLDEN_GAMMA))
     }
 }
 

@@ -632,31 +632,6 @@ impl Encoder {
             frames: out,
         })
     }
-
-    /// [`Encoder::encode`] with observability: counts the call and the
-    /// frames encoded (`codec.encode_calls`, `codec.frames_encoded`) and
-    /// records one `codec.gop_encoded_bytes` observation per produced
-    /// GOP, all under `pillar=media`. With a noop backend this is
-    /// [`Encoder::encode`] plus a handful of `Option` checks.
-    pub fn encode_observed(
-        &self,
-        frames: &[Frame],
-        rate: FrameRate,
-        obs: &vgbl_obs::Obs,
-    ) -> Result<EncodedVideo> {
-        let labels: &[(&str, &str)] = &[("pillar", "media")];
-        obs.counter("codec.encode_calls", labels).inc();
-        let video = self.encode(frames, rate)?;
-        obs.counter("codec.frames_encoded", labels).add(video.len() as u64);
-        let gop_bytes = obs.histogram("codec.gop_encoded_bytes", labels);
-        let keyframes = video.keyframes();
-        for (i, &k) in keyframes.iter().enumerate() {
-            let end = keyframes.get(i + 1).copied().unwrap_or(video.len());
-            let bytes: usize = video.frames[k..end].iter().map(|f| f.data.len()).sum();
-            gop_bytes.record(bytes as u64);
-        }
-        Ok(video)
-    }
 }
 
 /// Whether every sample of `src` quantises to its reference — i.e. the
@@ -795,29 +770,6 @@ impl Decoder {
             )),
             Some(_) => decode_gop(video, keyframe, video.gop_end(keyframe)),
         }
-    }
-
-    /// [`Decoder::decode_all`] with observability: counts the call and
-    /// the frames decoded (`codec.decode_calls`, `codec.frames_decoded`)
-    /// and records one `codec.gop_frames` observation per GOP, all under
-    /// `pillar=media`. With a noop backend this is
-    /// [`Decoder::decode_all`] plus a handful of `Option` checks.
-    pub fn decode_all_observed(
-        &self,
-        video: &EncodedVideo,
-        obs: &vgbl_obs::Obs,
-    ) -> Result<DecodedVideo> {
-        let labels: &[(&str, &str)] = &[("pillar", "media")];
-        obs.counter("codec.decode_calls", labels).inc();
-        let decoded = self.decode_all(video)?;
-        obs.counter("codec.frames_decoded", labels).add(decoded.frames.len() as u64);
-        let gop_frames = obs.histogram("codec.gop_frames", labels);
-        let keyframes = video.keyframes();
-        for (i, &k) in keyframes.iter().enumerate() {
-            let end = keyframes.get(i + 1).copied().unwrap_or(video.len());
-            gop_frames.record((end - k) as u64);
-        }
-        Ok(decoded)
     }
 }
 

@@ -14,6 +14,7 @@ use crate::frame::MAX_DIM;
 use crate::timeline::FrameRate;
 use crate::Result;
 use bytes::{Buf, BufMut};
+use vgbl_obs::hash::{fnv1a_extend, FNV_OFFSET};
 
 /// File magic: "VGV1".
 pub const MAGIC: [u8; 4] = *b"VGV1";
@@ -70,24 +71,12 @@ pub struct VgvHeader {
     pub frame_count: u32,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    let mut h = init;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// FNV-1a checksum over the concatenated payloads of `frames` — the same
 /// hash [`ContainerWriter`] stores in the trailer, restricted to a frame
 /// range. Delivery chunks and GOP integrity checks reuse this path so
 /// every consumer agrees on what "intact payload" means.
 pub fn payload_checksum(frames: &[EncodedFrame]) -> u64 {
-    frames.iter().fold(FNV_OFFSET, |h, f| fnv1a(h, &f.data))
+    frames.iter().fold(FNV_OFFSET, |h, f| fnv1a_extend(h, &f.data))
 }
 
 /// Per-GOP integrity checksums of one encoded stream, built from pristine
@@ -170,7 +159,7 @@ impl ContainerWriter {
         let mut checksum = FNV_OFFSET;
         for f in &video.frames {
             out.put_slice(&f.data);
-            checksum = fnv1a(checksum, &f.data);
+            checksum = fnv1a_extend(checksum, &f.data);
         }
         out.put_u64_le(checksum);
         out
@@ -240,7 +229,7 @@ impl ContainerReader {
         let mut checksum = FNV_OFFSET;
         for (kind, len) in kinds.into_iter().zip(lens) {
             let data = buf[..len].to_vec();
-            checksum = fnv1a(checksum, &data);
+            checksum = fnv1a_extend(checksum, &data);
             buf.advance(len);
             frames.push(EncodedFrame { kind, data });
         }

@@ -17,6 +17,7 @@ use crate::color::Rgb;
 use crate::frame::Frame;
 use crate::timeline::FrameRate;
 use rand::Rng;
+use vgbl_obs::hash::splitmix64;
 
 /// A moving solid-colour sprite inside one shot.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,17 +104,6 @@ impl Footage {
     }
 }
 
-/// Tiny SplitMix64 step — deterministic noise without threading a full RNG
-/// through the render loop.
-#[inline]
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FootageSpec {
     /// Renders the footage deterministically.
     ///
@@ -181,7 +171,7 @@ impl FootageSpec {
                     // One 64-bit draw covers eight byte-sized samples.
                     let mut i = 0;
                     while i < data.len() {
-                        let bits = splitmix(&mut noise_state);
+                        let bits = splitmix64(&mut noise_state);
                         for k in 0..8 {
                             if i + k >= data.len() {
                                 break;

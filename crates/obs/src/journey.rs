@@ -31,22 +31,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::hash::mix;
+
 /// Domain-separation salt for trace ids (one per session).
 const SALT_TRACE: u64 = 0x10AD_0001;
 /// Domain-separation salt for span ids (one per session generation).
 const SALT_SPAN: u64 = 0x10AD_0002;
 
-/// splitmix64 finalizer: the same bit mixer the runtime's seeded
-/// schedules use, duplicated here because `vgbl-obs` is intentionally
-/// dependency-free. Changing it breaks every persisted trace id.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The causal identity a session carries across every boundary.
 ///

@@ -34,6 +34,8 @@
 //!   [`slo::AlertTimeline`] and an exact error-budget ledger.
 //! * [`profile`] — folds recorded spans into inferno-compatible
 //!   flamegraph text, top-k hotspot tables, and run-to-run diffs.
+//! * [`hash`] — the workspace's one FNV-1a 64 and splitmix64
+//!   implementation, shared by every checksum and seeded draw.
 //! * [`journey`] — causal session journeys: pure-hash [`TraceCtx`]
 //!   identities propagated across every fleet boundary, per-shard
 //!   [`JourneyLog`]s of typed events, cross-shard [`stitch`]ing into
@@ -64,6 +66,7 @@
 #![forbid(unsafe_code)]
 
 pub mod export;
+pub mod hash;
 pub mod journey;
 pub mod metrics;
 pub mod profile;

@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::hash::{fnv1a_extend, FNV_OFFSET};
 use crate::span::{SpanRecorder, Trace};
 use crate::timeseries::{Series, SeriesRegistry, SeriesRow, SeriesSpec};
 
@@ -40,15 +41,8 @@ struct Key {
 impl Key {
     /// FNV-1a over name and labels; selects the shard.
     fn shard_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |s: &str| {
-            for &b in s.as_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut h = FNV_OFFSET;
+        let mut eat = |s: &str| h = fnv1a_extend(fnv1a_extend(h, s.as_bytes()), &[0xff]);
         eat(self.name);
         for (k, v) in &self.labels {
             eat(k);

@@ -459,6 +459,18 @@ pub struct BotRun {
     pub steps: usize,
 }
 
+impl BotRun {
+    /// Where `session` stands after `steps` decisions.
+    pub(crate) fn of(session: &GameSession, steps: usize) -> BotRun {
+        BotRun {
+            state: session.state().clone(),
+            log: session.log().clone(),
+            inventory: session.inventory().clone(),
+            steps,
+        }
+    }
+}
+
 /// Drives one session with a bot for at most `max_steps` inputs; a
 /// `tick_ms` tick is injected after every input to advance game time.
 pub fn run_session(
@@ -511,13 +523,35 @@ fn run_session_core(
     let (mut session, _) = GameSession::new(graph, config)?;
     session.set_obs(obs);
     rec.enter("session", 0);
-    let mut steps = 0usize;
+    let steps = drive(&mut session, bot, 0, max_steps, tick_ms, |s, n| {
+        rec.event("input", n as u64, s.state().total_clock_ms.saturating_mul(1000));
+    })?;
+    // Saturating: a pathological session clock must pin the span's end
+    // at the u64 horizon, not wrap it before its start.
+    rec.exit(session.state().total_clock_ms.saturating_mul(1000));
+    Ok(BotRun::of(&session, steps))
+}
+
+/// The one decision loop every session driver runs: from `start_step`,
+/// ask the bot for an input, submit it, then inject a `tick_ms` tick,
+/// until `max_steps` decisions, the game's end, or the bot giving up.
+/// `on_input` sees the session and the 1-based step number just before
+/// each input is handled. Returns the step count reached.
+pub(crate) fn drive(
+    session: &mut GameSession,
+    bot: &mut dyn Bot,
+    start_step: usize,
+    max_steps: usize,
+    tick_ms: u64,
+    mut on_input: impl FnMut(&GameSession, usize),
+) -> Result<usize> {
+    let mut steps = start_step;
     while steps < max_steps && !session.state().is_over() {
-        let Some(input) = bot.next_input(&session)? else {
+        let Some(input) = bot.next_input(session)? else {
             break;
         };
         steps += 1;
-        rec.event("input", steps as u64, session.state().total_clock_ms.saturating_mul(1000));
+        on_input(session, steps);
         match session.handle(input) {
             Ok(_) => {}
             Err(RuntimeError::GameOver { .. }) => break,
@@ -527,15 +561,7 @@ fn run_session_core(
             session.handle(InputEvent::Tick(tick_ms))?;
         }
     }
-    // Saturating: a pathological session clock must pin the span's end
-    // at the u64 horizon, not wrap it before its start.
-    rec.exit(session.state().total_clock_ms.saturating_mul(1000));
-    Ok(BotRun {
-        state: session.state().clone(),
-        log: session.log().clone(),
-        inventory: session.inventory().clone(),
-        steps,
-    })
+    Ok(steps)
 }
 
 #[cfg(test)]

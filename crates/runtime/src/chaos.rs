@@ -18,8 +18,9 @@ use crate::fleet::{
     run_fleet, FleetConfig, FleetReport, FleetWorkload, ShardFault, ShardFaultKind,
 };
 use crate::server::SessionOutcome;
-use crate::supervisor::{mix, unit, ArrivalPlan, SupervisorConfig};
+use crate::supervisor::{ArrivalPlan, SupervisorConfig};
 use crate::{Result, RuntimeError};
+use vgbl_obs::hash::{mix, unit};
 use vgbl_obs::{aggregate, JourneyEvent, JourneyEventKind, SessionJourney, TerminalState};
 use vgbl_store::StoreConfig;
 

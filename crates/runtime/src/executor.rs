@@ -40,6 +40,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use vgbl_obs::hash::splitmix64;
 use vgbl_obs::{Obs, SeriesSpec};
 use vgbl_stream::{BatchPlan, BatchPlanner};
 
@@ -248,15 +249,6 @@ pub struct CohortRun<R> {
     pub rows: Vec<Option<std::result::Result<R, String>>>,
     /// Scheduler counters.
     pub stats: ExecutorStats,
-}
-
-/// Splitmix64: the seeded run-queue permutation stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Deterministic Fisher–Yates shuffle of this tick's run queue, seeded

@@ -35,6 +35,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use vgbl_obs::hash::mix;
 use vgbl_obs::{
     us_from_ms, AlertTimeline, BudgetLedger, Counter, Gauge, Histogram, JourneyEventKind,
     JourneyRecorder, Obs, SessionJourney, SpanRecorder, TerminalState, TraceCtx,
@@ -43,14 +44,15 @@ use vgbl_scene::SceneGraph;
 use vgbl_stream::{BreakerStats, CircuitBreaker, FaultPlan};
 
 use crate::analytics::{LatencySummary, LogEvent, SessionLog};
+use crate::bot::{drive, Bot};
 use crate::engine::{GameSession, SessionConfig};
 use crate::error::RuntimeError;
 use crate::executor::EventQueue;
 use crate::save::SaveGame;
 use crate::server::{panic_reason, SessionOutcome};
 use crate::supervisor::{
-    drive, mix, persist_checkpoint, restart_backoff, resume_session, stitch, warm_session,
-    ArrivalPlan, LadderPolicy, ServiceMode, SupSlo, SupervisedBotFactory, SupervisorConfig,
+    persist_checkpoint, restart_backoff, resume_session, warm_session, ArrivalPlan, LadderPolicy,
+    ServiceMode, SupSlo, SupervisedBotFactory, SupervisorConfig,
 };
 use crate::Result;
 use vgbl_store::{CheckpointRecord, CorruptKind, DurableStore, ScrubReport, StoreConfig, StoreStats};
@@ -743,7 +745,7 @@ enum EvKind {
 /// A committed segment boundary — everything needed to resume the
 /// session elsewhere (or after a crash) bit-identically.
 #[derive(Debug, Clone)]
-struct Commit {
+pub(crate) struct Commit {
     /// Decision step at the boundary.
     step: usize,
     /// Segments done (synthetic workloads).
@@ -751,45 +753,105 @@ struct Commit {
     /// Digest of the checkpoint text (synthetic: a seeded stand-in).
     digest: u64,
     /// The checkpoint itself (engine workloads).
-    save: Option<SaveGame>,
+    pub(crate) save: Option<SaveGame>,
     /// Full log up to the boundary, prefix-stitched across incarnations.
     log: Option<SessionLog>,
 }
 
 /// Live engine state for one in-flight session incarnation.
-struct EngineRun {
-    session: GameSession,
-    bot: Box<dyn crate::bot::Bot>,
-    steps: usize,
+pub(crate) struct EngineRun {
+    pub(crate) session: GameSession,
+    bot: Box<dyn Bot>,
+    pub(crate) steps: usize,
     /// Log of prior incarnations; `session.log()` holds only the tail.
     log_prefix: Option<SessionLog>,
 }
 
-/// One in-flight session on a shard slot.
-struct Running {
-    id: usize,
+impl EngineRun {
+    /// Starts incarnation `generation` of session `id`: restored from
+    /// `from` when it carries a checkpoint, fresh otherwise. First
+    /// dispatch, migration hand-in, cold resume and panic restart all
+    /// build their engine here.
+    fn start(
+        graph: &Arc<SceneGraph>,
+        config: &SessionConfig,
+        factory: &SupervisedBotFactory,
+        id: usize,
+        generation: u32,
+        from: Option<&Commit>,
+    ) -> Result<EngineRun> {
+        let restored = from.and_then(|c| c.save.as_ref().map(|save| (c, save)));
+        let (session, steps, log_prefix) = match restored {
+            Some((c, save)) => (
+                GameSession::restore_checkpoint(graph.clone(), config.clone(), save)?,
+                c.step,
+                c.log.clone(),
+            ),
+            None => (GameSession::new(graph.clone(), config.clone())?.0, 0, None),
+        };
+        Ok(EngineRun { session, bot: factory(id, generation), steps, log_prefix })
+    }
+
+    /// The session's full log: prior incarnations' prefix plus this one.
+    pub(crate) fn full_log(&self) -> SessionLog {
+        let Some(prefix) = &self.log_prefix else {
+            return self.session.log().clone();
+        };
+        let mut log = prefix.clone();
+        for e in self.session.log().events() {
+            log.push(e.clone());
+        }
+        log
+    }
+}
+
+/// One in-flight session: on a shard slot, or in a supervisor slot.
+pub(crate) struct Running {
+    pub(crate) id: usize,
     mode: ServiceMode,
     /// Incarnation counter fed to the bot factory; bumps on every
     /// restart and every migration hop.
-    generation: u32,
-    restarts: u32,
+    pub(crate) generation: u32,
+    pub(crate) restarts: u32,
     /// Migration hops so far.
     hops: u32,
     /// Step the latest resume started from (0 for never-migrated).
-    resumed_at_step: usize,
+    pub(crate) resumed_at_step: usize,
     was_degraded: bool,
     /// The session was rebuilt from the durable store after a
     /// whole-fleet power loss (its in-memory lineage was destroyed).
     cold: bool,
-    committed: Option<Commit>,
-    engine: Option<EngineRun>,
+    pub(crate) committed: Option<Commit>,
+    /// Engine workloads only; `None` until the next segment (re)builds
+    /// it.
+    pub(crate) engine: Option<EngineRun>,
     synth_done: u32,
     synth_total: u32,
 }
 
+impl Running {
+    /// A session about to start its first incarnation.
+    pub(crate) fn fresh(id: usize, mode: ServiceMode) -> Running {
+        Running {
+            id,
+            mode,
+            generation: 0,
+            restarts: 0,
+            hops: 0,
+            resumed_at_step: 0,
+            was_degraded: false,
+            cold: false,
+            committed: None,
+            engine: None,
+            synth_done: 0,
+            synth_total: 0,
+        }
+    }
+}
+
 /// How a segment ended.
 #[derive(Debug, Clone)]
-enum SegEnd {
+pub(crate) enum SegEnd {
     /// Hit the checkpoint boundary; session continues.
     Boundary,
     /// Session finished cleanly.
@@ -963,22 +1025,27 @@ impl FleetObs {
 }
 
 /// The per-session segment count for synthetic workloads: seeded,
-/// uniform on `1..=2*mean-1` so the mean is `mean`.
+/// uniform on `1..=2*mean-1` so the mean is `mean` (validated to
+/// `1..=u32::MAX / 2` by `fleet_core`).
 fn synth_total(seed: u64, mean_segments: u32, id: usize) -> u32 {
-    let span = u64::from(2 * mean_segments.max(1) - 1);
+    let span = u64::from(2 * mean_segments - 1);
     1 + (mix(seed ^ SALT_SYNTH ^ mix(id as u64)) % span) as u32
 }
 
-/// Advances `r` by one segment (eagerly — the caller schedules the
-/// boundary at `now + elapsed` and commits only when it fires, so a
-/// crash before the boundary discards the uncommitted work, exactly
-/// like a real shard losing its in-memory state).
-fn advance_segment(
+/// Advances `r` to its next checkpoint boundary — the one segment
+/// runner both the fleet and the supervisor drive sessions with. Runs
+/// eagerly: the fleet schedules the boundary at `now + elapsed` and
+/// commits only when it fires, so a crash before the boundary discards
+/// the uncommitted work, exactly like a real shard losing its
+/// in-memory state. A panic restarts the session from `r.committed`
+/// (fresh when there is none) after the doubling backoff, until the
+/// restart budget runs out.
+pub(crate) fn advance_segment(
     cfg: &SupervisorConfig,
     workload: &FleetWorkload<'_>,
     r: &mut Running,
 ) -> (f64, SegEnd) {
-    let every = cfg.checkpoint_every.max(1);
+    let every = cfg.checkpoint_every;
     let step_cost =
         if r.mode == ServiceMode::ConcealOnly { cfg.step_ms * 0.5 } else { cfg.step_ms };
     match workload {
@@ -991,19 +1058,34 @@ fn advance_segment(
         FleetWorkload::Engine { graph, config, factory } => {
             let mut elapsed = 0.0;
             loop {
-                let er = r.engine.as_mut().expect("engine workload has engine state");
-                let start = er.steps;
-                let target = (((start / every) + 1) * every).min(cfg.max_steps);
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    drive(&mut er.session, &mut *er.bot, start, target, cfg.tick_ms, |_, _| {})
+                // The (re)build runs inside the unwind boundary too: a
+                // panicking bot factory costs a restart, not the host.
+                let res = catch_unwind(AssertUnwindSafe(|| -> Result<(usize, usize)> {
+                    if r.engine.is_none() {
+                        let er = EngineRun::start(
+                            graph,
+                            config,
+                            *factory,
+                            r.id,
+                            r.generation,
+                            r.committed.as_ref(),
+                        )?;
+                        r.engine = Some(er);
+                    }
+                    let er = r.engine.as_mut().expect("built above");
+                    let start = er.steps;
+                    let target = (((start / every) + 1) * every).min(cfg.max_steps);
+                    let (session, bot) = (&mut er.session, &mut *er.bot);
+                    er.steps = drive(session, bot, start, target, cfg.tick_ms, |_, _| {})?;
+                    Ok((start, target))
                 }));
                 match res {
-                    Ok(Ok(steps)) => {
-                        elapsed += steps.saturating_sub(start) as f64 * step_cost;
-                        er.steps = steps;
+                    Ok(Ok((start, target))) => {
+                        let er = r.engine.as_ref().expect("segment ran");
+                        elapsed += (er.steps - start) as f64 * step_cost;
                         let done = er.session.state().is_over()
-                            || steps < target
-                            || steps >= cfg.max_steps;
+                            || er.steps < target
+                            || er.steps >= cfg.max_steps;
                         return (elapsed, if done { SegEnd::Finished } else { SegEnd::Boundary });
                     }
                     Ok(Err(e)) => return (elapsed, SegEnd::Failed { reason: e.to_string() }),
@@ -1016,36 +1098,7 @@ fn advance_segment(
                         r.generation += 1;
                         r.resumed_at_step = r.committed.as_ref().map_or(0, |c| c.step);
                         elapsed += restart_backoff(cfg.restart_backoff_ms, r.restarts);
-                        let rebuilt = (|| -> Result<EngineRun> {
-                            let bot = factory(r.id, r.generation);
-                            match &r.committed {
-                                Some(c) if c.save.is_some() => {
-                                    let save = c.save.as_ref().expect("checked");
-                                    let session = GameSession::restore_checkpoint(
-                                        graph.clone(),
-                                        config.clone(),
-                                        save,
-                                    )?;
-                                    Ok(EngineRun {
-                                        session,
-                                        bot,
-                                        steps: c.step,
-                                        log_prefix: c.log.clone(),
-                                    })
-                                }
-                                _ => {
-                                    let (session, _) =
-                                        GameSession::new(graph.clone(), config.clone())?;
-                                    Ok(EngineRun { session, bot, steps: 0, log_prefix: None })
-                                }
-                            }
-                        })();
-                        match rebuilt {
-                            Ok(er) => r.engine = Some(er),
-                            Err(e) => {
-                                return (elapsed, SegEnd::Failed { reason: e.to_string() })
-                            }
-                        }
+                        r.engine = None;
                     }
                 }
             }
@@ -1055,29 +1108,55 @@ fn advance_segment(
 
 /// The boundary commit: checkpoint + digest + stitched log for engine
 /// workloads, a seeded digest stand-in for synthetic ones.
-fn make_commit(seed: u64, cfg: &SupervisorConfig, r: &Running) -> Commit {
+pub(crate) fn make_commit(seed: u64, cfg: &SupervisorConfig, r: &Running) -> Commit {
     match &r.engine {
         Some(er) => {
             let save = er.session.checkpoint();
-            let log = match &er.log_prefix {
-                Some(p) => stitch(p, er.session.log()),
-                None => er.session.log().clone(),
-            };
             Commit {
                 step: er.steps,
                 synth_done: r.synth_done,
                 digest: save.digest(),
                 save: Some(save),
-                log: Some(log),
+                log: Some(er.full_log()),
             }
         }
         None => Commit {
-            step: r.synth_done as usize * cfg.checkpoint_every.max(1),
+            step: r.synth_done as usize * cfg.checkpoint_every,
             synth_done: r.synth_done,
             digest: mix(seed ^ SALT_SYNTH ^ mix(r.id as u64) ^ mix(u64::from(r.synth_done))),
             save: None,
             log: None,
         },
+    }
+}
+
+/// The durable record of commit `c` for `(session, generation)`: its
+/// payload is the checkpoint text stamped with that generation's trace
+/// context under `seed` (the trace line is digest-exempt, so `c.digest`
+/// still matches), or the segment counter for synthetic workloads.
+pub(crate) fn checkpoint_record(
+    seed: u64,
+    session: usize,
+    generation: u32,
+    c: &Commit,
+) -> CheckpointRecord {
+    let ctx = TraceCtx::mint(seed, session as u64, generation);
+    let payload = match &c.save {
+        Some(save) => {
+            let mut save = save.clone();
+            save.trace = Some((ctx.trace_id, ctx.span_id));
+            save.to_text().into_bytes()
+        }
+        None => c.synth_done.to_le_bytes().to_vec(),
+    };
+    CheckpointRecord {
+        session: session as u64,
+        step: c.step as u64,
+        generation,
+        digest: c.digest,
+        trace_id: ctx.trace_id,
+        span_id: ctx.span_id,
+        payload,
     }
 }
 
@@ -1294,7 +1373,6 @@ impl FleetSim<'_> {
         let wl = self.workload;
         let QEntry { id, mode, resume, .. } = q;
         let mig_idx = resume.as_ref().and_then(|rs| rs.mig_idx);
-        let cold = resume.as_ref().is_some_and(|rs| rs.cold);
         let gen_now = resume.as_ref().map_or(0, |rs| rs.generation);
         let sid = self.shards[i].id;
         self.shards[i].admitted += 1;
@@ -1307,17 +1385,18 @@ impl FleetSim<'_> {
             JourneyEventKind::Admitted { generation: gen_now },
         );
         let mut t = start;
-        let mut was_degraded = false;
-        if resume.is_none() {
-            if mode == ServiceMode::Full {
+        let mut r = Running::fresh(id, mode);
+        match resume {
+            None if mode == ServiceMode::Full => {
                 let s = &mut self.shards[i];
                 let w = warm_session(id, t, &cfg.shard, &s.faults, &mut s.breaker);
                 t = w.t;
                 s.warm_attempted += w.attempted;
                 s.warm_skipped += w.skipped;
-            } else {
+            }
+            None => {
                 self.shards[i].degraded += 1;
-                was_degraded = true;
+                r.was_degraded = true;
                 self.journey_event(
                     Some(sid),
                     start,
@@ -1326,107 +1405,63 @@ impl FleetSim<'_> {
                     JourneyEventKind::DegradedTo { mode: format!("{mode:?}") },
                 );
             }
-        }
-        let (generation, restarts, hops, resumed_at_step, committed, synth_done) = match resume {
-            None => (0, 0, 0, 0, None, 0),
             Some(rs) => {
                 self.shards[i].migrated_in += 1;
-                was_degraded = rs.was_degraded;
-                let step = rs.committed.step;
-                let done = rs.committed.synth_done;
-                (rs.generation, rs.restarts, rs.hops, step, Some(rs.committed), done)
-            }
-        };
-        let mut engine = None;
-        if let FleetWorkload::Engine { graph, config, factory } = wl {
-            let built: Result<EngineRun> = match &committed {
-                Some(c) => {
-                    let save = c.save.as_ref().expect("engine commits carry a save");
-                    GameSession::restore_checkpoint(graph.clone(), config.clone(), save).map(
-                        |session| EngineRun {
-                            session,
-                            bot: factory(id, generation),
-                            steps: c.step,
-                            log_prefix: c.log.clone(),
-                        },
-                    )
-                }
-                None => GameSession::new(graph.clone(), config.clone()).map(|(session, _)| {
-                    EngineRun { session, bot: factory(id, generation), steps: 0, log_prefix: None }
-                }),
-            };
-            match built {
-                Ok(er) => {
-                    if let (Some(mi), Some(c)) = (mig_idx, &committed) {
-                        let save = c.save.as_ref().expect("engine commits carry a save");
-                        self.migrations[mi].handoff_ok =
-                            Some(er.session.checkpoint().digest() == c.digest);
-                        if cfg.migration.verify_replay {
-                            let mut bot = factory(id, generation);
-                            let shadow = catch_unwind(AssertUnwindSafe(|| {
-                                resume_session(
-                                    graph.clone(),
-                                    config.clone(),
-                                    save,
-                                    &mut *bot,
-                                    c.step,
-                                    cfg.shard.max_steps,
-                                    cfg.shard.tick_ms,
-                                )
-                            }));
-                            if let Ok(Ok(run)) = shadow {
-                                self.pending_verify.retain(|p| p.session != id);
-                                self.pending_verify.push(PendingVerify {
-                                    session: id,
-                                    generation,
-                                    mig_idx: mi,
-                                    tail: run.log.events().to_vec(),
-                                });
-                            }
-                        }
-                    }
-                    engine = Some(er);
-                }
-                Err(e) => {
-                    let r = Running {
-                        id,
-                        mode,
-                        generation,
-                        restarts,
-                        hops,
-                        resumed_at_step,
-                        was_degraded,
-                        cold,
-                        committed,
-                        engine: None,
-                        synth_done,
-                        synth_total: 0,
-                    };
-                    self.finish(i, r, SegEnd::Failed { reason: e.to_string() }, t);
-                    return;
-                }
+                r.was_degraded = rs.was_degraded;
+                r.generation = rs.generation;
+                r.restarts = rs.restarts;
+                r.hops = rs.hops;
+                r.cold = rs.cold;
+                r.resumed_at_step = rs.committed.step;
+                r.synth_done = rs.committed.synth_done;
+                r.committed = Some(rs.committed);
             }
         }
-        let st = match wl {
+        match wl {
             FleetWorkload::Synthetic { mean_segments } => {
-                synth_total(cfg.router_seed, *mean_segments, id)
+                r.synth_total = synth_total(cfg.router_seed, *mean_segments, id);
             }
-            FleetWorkload::Engine { .. } => 0,
-        };
-        let r = Running {
-            id,
-            mode,
-            generation,
-            restarts,
-            hops,
-            resumed_at_step,
-            was_degraded,
-            cold,
-            committed,
-            engine,
-            synth_done,
-            synth_total: st,
-        };
+            FleetWorkload::Engine { graph, config, factory } => {
+                let (generation, committed) = (r.generation, r.committed.as_ref());
+                let er = match EngineRun::start(graph, config, *factory, id, generation, committed)
+                {
+                    Ok(er) => er,
+                    Err(e) => {
+                        self.finish(i, r, SegEnd::Failed { reason: e.to_string() }, t);
+                        return;
+                    }
+                };
+                if let (Some(mi), Some(c)) = (mig_idx, committed) {
+                    let save = c.save.as_ref().expect("engine commits carry a save");
+                    self.migrations[mi].handoff_ok =
+                        Some(er.session.checkpoint().digest() == c.digest);
+                    if cfg.migration.verify_replay {
+                        let mut bot = factory(id, generation);
+                        let shadow = catch_unwind(AssertUnwindSafe(|| {
+                            resume_session(
+                                graph.clone(),
+                                config.clone(),
+                                save,
+                                &mut *bot,
+                                c.step,
+                                cfg.shard.max_steps,
+                                cfg.shard.tick_ms,
+                            )
+                        }));
+                        if let Ok(Ok(run)) = shadow {
+                            self.pending_verify.retain(|p| p.session != id);
+                            self.pending_verify.push(PendingVerify {
+                                session: id,
+                                generation,
+                                mig_idx: mi,
+                                tail: run.log.events().to_vec(),
+                            });
+                        }
+                    }
+                }
+                r.engine = Some(er);
+            }
+        }
         self.start_segment(i, slot_idx, r, t);
     }
 
@@ -1561,7 +1596,7 @@ impl FleetSim<'_> {
             let kind = match &outcome {
                 SessionOutcome::Completed => {
                     let steps = r.engine.as_ref().map_or_else(
-                        || u64::from(r.synth_done) * self.cfg.shard.checkpoint_every.max(1) as u64,
+                        || u64::from(r.synth_done) * self.cfg.shard.checkpoint_every as u64,
                         |er| er.steps as u64,
                     );
                     JourneyEventKind::Completed { steps }
@@ -1729,27 +1764,7 @@ impl FleetSim<'_> {
     fn persist_commit(&mut self, r: &Running) -> Option<u64> {
         let store = self.store.as_mut()?;
         let c = r.committed.as_ref().expect("persist follows make_commit");
-        let ctx = TraceCtx::mint(self.cfg.router_seed, r.id as u64, r.generation);
-        let payload = match &c.save {
-            Some(save) => {
-                // The durable payload carries the checkpointing
-                // generation's causal identity; the trace line is
-                // digest-exempt, so `c.digest` still matches.
-                let mut save = save.clone();
-                save.trace = Some((ctx.trace_id, ctx.span_id));
-                save.to_text().into_bytes()
-            }
-            None => c.synth_done.to_le_bytes().to_vec(),
-        };
-        let record = CheckpointRecord {
-            session: r.id as u64,
-            step: c.step as u64,
-            generation: r.generation,
-            digest: c.digest,
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            payload,
-        };
+        let record = checkpoint_record(self.cfg.router_seed, r.id, r.generation, c);
         let seq = persist_checkpoint(store, &record);
         if let Some(seq) = seq {
             self.acked.insert(r.id, (seq, c.digest));
@@ -2065,8 +2080,9 @@ fn fleet_core(
 ) -> Result<FleetReport> {
     cfg.validate()?;
     if let FleetWorkload::Synthetic { mean_segments } = workload {
-        if *mean_segments == 0 {
-            return Err(invalid("synthetic mean_segments must be >= 1"));
+        // `synth_total` draws from `1..=2*mean-1`, which must fit a u32.
+        if *mean_segments == 0 || *mean_segments > u32::MAX / 2 {
+            return Err(invalid("synthetic mean_segments must be in 1..=u32::MAX / 2"));
         }
     }
     let router = FleetRouter::new(cfg.router_seed, cfg.vnodes, cfg.shards)?;
@@ -2354,6 +2370,8 @@ mod tests {
         assert!(FleetConfig { shards: 0, ..ok.clone() }.validate().is_err());
         assert!(FleetConfig { vnodes: 0, ..ok.clone() }.validate().is_err());
         assert!(FleetConfig { control_interval_ms: 0.0, ..ok.clone() }.validate().is_err());
+        let never = SupervisorConfig { checkpoint_every: 0, ..SupervisorConfig::default() };
+        assert!(FleetConfig { shard: never, ..ok.clone() }.validate().is_err());
         let bad_stall = FleetConfig {
             faults: vec![ShardFault {
                 at_ms: 10.0,
@@ -2863,6 +2881,20 @@ mod tests {
         let workload = FleetWorkload::Synthetic { mean_segments: 2 };
         let arrivals = ArrivalPlan::new(1, 10.0).unwrap();
         assert!(run_fleet(&workload, &cfg, 4, &arrivals).is_err());
+    }
+
+    #[test]
+    fn synthetic_mean_segments_whose_span_overflows_is_rejected() {
+        let arrivals = ArrivalPlan::new(1, 10.0).unwrap();
+        let cfg = FleetConfig::default();
+        for mean_segments in [0, u32::MAX / 2 + 1, u32::MAX] {
+            let workload = FleetWorkload::Synthetic { mean_segments };
+            assert!(run_fleet(&workload, &cfg, 4, &arrivals).is_err(), "{mean_segments}");
+        }
+        // The widest span that fits is accepted (no sessions: a billion
+        // segments each would take a while).
+        let widest = FleetWorkload::Synthetic { mean_segments: u32::MAX / 2 };
+        assert!(run_fleet(&widest, &cfg, 0, &arrivals).is_ok());
     }
 
     #[test]

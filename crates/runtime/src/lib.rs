@@ -44,7 +44,6 @@
 
 pub mod analytics;
 pub mod baseline;
-pub mod batch;
 pub mod bot;
 pub mod chaos;
 pub mod device;
@@ -66,7 +65,6 @@ pub mod supervisor;
 pub use analytics::{
     DecodeReuse, LatencySummary, LearningReport, LogEvent, ResilienceReport, SessionLog,
 };
-pub use batch::{run_playback_cohort_batched, BatchedCohortReport};
 pub use bot::{run_session, run_session_observed, Bot, BotRun, ExplorerBot, GuidedBot, RandomBot};
 pub use device::{RemoteButton, RemoteControl};
 pub use engine::{GameSession, SessionConfig};

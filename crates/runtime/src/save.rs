@@ -25,6 +25,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
+use vgbl_obs::hash::fnv1a;
 use vgbl_scene::SceneGraph;
 
 use crate::error::RuntimeError;
@@ -99,12 +100,7 @@ impl SaveGame {
     /// a checkpoint with its causal identity never perturbs handoff
     /// verification.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.text(false).bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        fnv1a(self.text(false).as_bytes())
     }
 
     /// Serialises to the text format.

@@ -31,12 +31,11 @@ use vgbl_media::{SegmentId, SegmentTable};
 use vgbl_scene::SceneGraph;
 
 use crate::analytics::{DecodeReuse, LearningReport};
-use crate::bot::{run_session, Bot, BotRun};
+use crate::bot::{drive, run_session, Bot, BotRun};
 use crate::engine::{GameSession, SessionConfig};
 use crate::executor::{run_tasks, run_tasks_observed, ExecutorStats, SessionTask, Step};
-use crate::input::InputEvent;
 use crate::playback::{PlaybackController, PlaybackStats};
-use crate::{Result, RuntimeError};
+use crate::Result;
 
 /// Seed of the executor's run-queue shuffle. Fixed: cohort output must
 /// not depend on it (the shuffle exists to prove that), so there is
@@ -152,10 +151,9 @@ pub struct ServerReport {
     pub total_steps: usize,
 }
 
-/// One bot session as a cooperative task: each poll submits one
-/// decision (`next_input` → `handle` → tick), reproducing
-/// `run_session`'s loop step for step, then yields. A panicking bot or
-/// factory retires only this task.
+/// One bot session as a cooperative task: each poll runs `run_session`'s
+/// decision loop for one step, then yields. A panicking bot or factory
+/// retires only this task.
 struct BotSessionTask<'a> {
     graph: Arc<SceneGraph>,
     config: SessionConfig,
@@ -165,21 +163,7 @@ struct BotSessionTask<'a> {
     tick_ms: u64,
     bot: Option<Box<dyn Bot>>,
     session: Option<GameSession>,
-    rec: SpanRecorder,
     steps: usize,
-}
-
-impl BotSessionTask<'_> {
-    fn finish(&mut self) -> Step<u32, std::result::Result<BotRun, String>> {
-        let session = self.session.as_ref().expect("finish only after setup");
-        self.rec.exit(session.state().total_clock_ms.saturating_mul(1000));
-        Step::Done(Ok(BotRun {
-            state: session.state().clone(),
-            log: session.log().clone(),
-            inventory: session.inventory().clone(),
-            steps: self.steps,
-        }))
-    }
 }
 
 impl SessionTask for BotSessionTask<'_> {
@@ -192,38 +176,22 @@ impl SessionTask for BotSessionTask<'_> {
             // isolation boundary (a panicking factory fails only this
             // session, as it did inside the worker's catch_unwind).
             self.bot = Some((self.factory)(self.i));
-            let (session, _) = match GameSession::new(self.graph.clone(), self.config.clone()) {
-                Ok(pair) => pair,
+            match GameSession::new(self.graph.clone(), self.config.clone()) {
+                Ok((session, _)) => self.session = Some(session),
                 Err(e) => return Step::Done(Err(e.to_string())),
-            };
-            self.session = Some(session);
-            let session = self.session.as_mut().expect("just set");
-            session.set_obs(&Obs::noop());
-            self.rec.enter("session", 0);
+            }
         }
         let session = self.session.as_mut().expect("setup ran");
         let bot = self.bot.as_mut().expect("setup ran");
-        if self.steps >= self.max_steps || session.state().is_over() {
-            return self.finish();
-        }
-        let input = match bot.next_input(session) {
-            Ok(Some(input)) => input,
-            Ok(None) => return self.finish(),
-            Err(e) => return Step::Done(Err(e.to_string())),
-        };
-        self.steps += 1;
-        self.rec.event("input", self.steps as u64, session.state().total_clock_ms.saturating_mul(1000));
-        match session.handle(input) {
-            Ok(_) => {}
-            Err(RuntimeError::GameOver { .. }) => return self.finish(),
-            Err(e) => return Step::Done(Err(e.to_string())),
-        }
-        if !session.state().is_over() && self.tick_ms > 0 {
-            if let Err(e) = session.handle(InputEvent::Tick(self.tick_ms)) {
-                return Step::Done(Err(e.to_string()));
+        let limit = self.max_steps.min(self.steps.saturating_add(1));
+        match drive(session, &mut **bot, self.steps, limit, self.tick_ms, |_, _| {}) {
+            Ok(steps) if steps > self.steps => {
+                self.steps = steps;
+                Step::Pending
             }
+            Ok(_) => Step::Done(Ok(BotRun::of(session, self.steps))),
+            Err(e) => Step::Done(Err(e.to_string())),
         }
-        Step::Pending
     }
 }
 
@@ -272,7 +240,6 @@ pub fn run_cohort(
             tick_ms,
             bot: None,
             session: None,
-            rec: SpanRecorder::disabled(),
             steps: 0,
         })
         .collect();

@@ -54,12 +54,12 @@
 //!   [`resume_session`].
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use vgbl_obs::hash::{mix, unit};
 use vgbl_obs::{
     us_from_ms, AlertTimeline, BudgetLedger, BurnRule, Counter, Gauge, Histogram, Objective, Obs,
-    Series, SeriesSpec, SloEvaluator, SpanRecorder, TraceCtx,
+    Series, SeriesSpec, SloEvaluator, SpanRecorder,
 };
 use vgbl_scene::SceneGraph;
 use vgbl_stream::{
@@ -68,33 +68,21 @@ use vgbl_stream::{
 use vgbl_store::{CheckpointRecord, DurableStore, StoreConfig, StoreStats};
 
 use crate::analytics::{LatencySummary, LearningReport, LogEvent, SessionLog};
-use crate::bot::{Bot, BotRun};
+use crate::bot::{drive, Bot, BotRun};
 use crate::engine::{GameSession, SessionConfig};
 use crate::error::RuntimeError;
 use crate::executor::EventQueue;
-use crate::input::InputEvent;
+use crate::fleet::{
+    advance_segment, checkpoint_record, make_commit, FleetWorkload, Running, SegEnd,
+};
 use crate::save::SaveGame;
-use crate::server::{panic_reason, SessionOutcome};
-use crate::state::GameState;
+use crate::server::SessionOutcome;
 use crate::Result;
 
 /// Event-type salts keeping the arrival and warm-jitter streams of one
 /// seed statistically independent (same scheme as `vgbl_stream::fault`).
 const SALT_ARRIVAL: u64 = 0x5000_0005;
 const SALT_WARM_JITTER: u64 = 0x6000_0006;
-
-/// splitmix64 finaliser: a well-mixed 64-bit hash of its input.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Maps a hash to a uniform `f64` in `[0, 1)`.
-pub(crate) fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Ceiling on any single restart backoff, ms (~31 simulated years).
 /// Doubling backoff overflows `f64` past ~2^1024; an INF backoff would
@@ -288,7 +276,9 @@ pub struct SupervisorConfig {
     pub degrade_at: f64,
     /// Occupancy fraction at which playback degrades to concealment-only.
     pub conceal_at: f64,
-    /// Checkpoint every this many decisions (0 = never checkpoint).
+    /// Checkpoint every this many decisions (at least 1). The fleet
+    /// also uses it as its segment length: sessions migrate, and
+    /// synthetic sessions advance, at these boundaries.
     pub checkpoint_every: usize,
     /// Restarts allowed per session before giving up.
     pub restart_budget: u32,
@@ -374,6 +364,9 @@ impl SupervisorConfig {
         if self.max_steps == 0 {
             return Err(bad("the step budget must be at least 1"));
         }
+        if self.checkpoint_every == 0 {
+            return Err(bad("checkpoint_every must be at least 1"));
+        }
         if let LadderPolicy::SloDriven(slo) = &self.ladder {
             slo.validate()?;
         }
@@ -396,16 +389,6 @@ impl SupervisorConfig {
 /// bot for session `i`, incarnation `r` (0 on first start, `k` after the
 /// `k`-th restart). Must be `Sync` to match the plain-server factories.
 pub type SupervisedBotFactory = dyn Fn(usize, u32) -> Box<dyn Bot> + Sync;
-
-/// One checkpoint held by the supervisor's in-memory store: the
-/// resumable save plus the step count and the stitched log prefix at
-/// capture time.
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    save: SaveGame,
-    step: usize,
-    log: SessionLog,
-}
 
 /// Flush attempts per durable checkpoint write. A lost flush is
 /// detected (the store reports it, like a failed fsync) and retried with
@@ -576,209 +559,13 @@ pub fn resume_session(
 ) -> Result<BotRun> {
     let mut session = GameSession::restore_checkpoint(graph, config, save)?;
     let steps = drive(&mut session, bot, start_step, max_steps, tick_ms, |_, _| {})?;
-    Ok(BotRun {
-        state: session.state().clone(),
-        log: session.log().clone(),
-        inventory: session.inventory().clone(),
-        steps: steps - start_step,
-    })
-}
-
-/// The shared session loop: identical decision/tick cadence to
-/// [`crate::bot::run_session`], with a per-step hook for checkpointing.
-/// The fleet's segment runner reuses it so migrated sessions step with
-/// exactly the supervisor's cadence.
-pub(crate) fn drive(
-    session: &mut GameSession,
-    bot: &mut dyn Bot,
-    start_step: usize,
-    max_steps: usize,
-    tick_ms: u64,
-    mut after_step: impl FnMut(&GameSession, usize),
-) -> Result<usize> {
-    let mut steps = start_step;
-    while steps < max_steps && !session.state().is_over() {
-        let Some(input) = bot.next_input(session)? else {
-            break;
-        };
-        steps += 1;
-        match session.handle(input) {
-            Ok(_) => {}
-            Err(RuntimeError::GameOver { .. }) => break,
-            Err(e) => return Err(e),
-        }
-        if !session.state().is_over() && tick_ms > 0 {
-            session.handle(InputEvent::Tick(tick_ms))?;
-        }
-        after_step(session, steps);
-    }
-    Ok(steps)
+    Ok(BotRun::of(&session, steps - start_step))
 }
 
 /// Trace-context seed for the standalone supervisor path, which has no
 /// fleet router seed to inherit. Fixed so standalone-run checkpoints
 /// carry stable, rerun-identical trace identities.
-pub(crate) const SUPERVISOR_TRACE_SEED: u64 = 0x10AD_5EED;
-
-pub(crate) fn stitch(prefix: &SessionLog, tail: &SessionLog) -> SessionLog {
-    let mut log = prefix.clone();
-    for e in tail.events() {
-        log.push(e.clone());
-    }
-    log
-}
-
-/// One incarnation of a session: fresh or restored from `resume`,
-/// checkpointing into `store` as it goes. The checkpoint store is
-/// written *through* the unwind boundary, so checkpoints taken before a
-/// panic survive it.
-#[allow(clippy::too_many_arguments)]
-fn run_incarnation(
-    graph: &Arc<SceneGraph>,
-    config: &SessionConfig,
-    sup: &SupervisorConfig,
-    factory: &SupervisedBotFactory,
-    i: usize,
-    incarnation: u32,
-    resume: Option<&Checkpoint>,
-    store: &mut Option<Checkpoint>,
-    durable: &mut Option<DurableStore>,
-) -> Result<(GameState, SessionLog, usize)> {
-    let mut session = match resume {
-        None => GameSession::new(graph.clone(), config.clone())?.0,
-        Some(c) => GameSession::restore_checkpoint(graph.clone(), config.clone(), &c.save)?,
-    };
-    let mut bot = factory(i, incarnation);
-    let start = resume.map_or(0, |c| c.step);
-    let every = sup.checkpoint_every;
-    let steps = drive(&mut session, &mut *bot, start, sup.max_steps, sup.tick_ms, |s, n| {
-        if every > 0 && n % every == 0 && !s.state().is_over() {
-            let log = match resume {
-                Some(c) => stitch(&c.log, s.log()),
-                None => s.log().clone(),
-            };
-            let mut save = s.checkpoint();
-            if let Some(d) = durable.as_mut() {
-                // Written through the unwind boundary, like the
-                // in-memory store: a checkpoint flushed before a panic
-                // (or a whole-process loss) stays durable.
-                let ctx = TraceCtx::mint(SUPERVISOR_TRACE_SEED, i as u64, incarnation);
-                save.trace = Some((ctx.trace_id, ctx.span_id));
-                persist_checkpoint(
-                    d,
-                    &CheckpointRecord {
-                        session: i as u64,
-                        step: n as u64,
-                        generation: incarnation,
-                        digest: save.digest(),
-                        trace_id: ctx.trace_id,
-                        span_id: ctx.span_id,
-                        payload: save.to_text().into_bytes(),
-                    },
-                );
-            }
-            *store = Some(Checkpoint { save, step: n, log });
-        }
-    })?;
-    Ok((session.state().clone(), session.log().clone(), steps))
-}
-
-/// What one admitted session contributed to the report.
-struct Played {
-    outcome: SessionOutcome,
-    steps: usize,
-    log: Option<SessionLog>,
-    score: i64,
-    recovery: Option<RecoveryRecord>,
-    backoffs_ms: Vec<f64>,
-}
-
-/// Runs one session under supervision: checkpoint, catch panics, restart
-/// from the last checkpoint with doubled backoff, give up at the budget.
-fn play_supervised(
-    graph: &Arc<SceneGraph>,
-    config: &SessionConfig,
-    sup: &SupervisorConfig,
-    factory: &SupervisedBotFactory,
-    i: usize,
-    durable: &mut Option<DurableStore>,
-) -> Played {
-    let mut latest: Option<Checkpoint> = None;
-    let mut restarts: u32 = 0;
-    let mut backoffs = Vec::new();
-    loop {
-        let resume = latest.clone();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            run_incarnation(
-                graph,
-                config,
-                sup,
-                factory,
-                i,
-                restarts,
-                resume.as_ref(),
-                &mut latest,
-                durable,
-            )
-        }));
-        match attempt {
-            Ok(Ok((state, tail, steps))) => {
-                let resumed_at_step = resume.as_ref().map_or(0, |c| c.step);
-                let full = match &resume {
-                    Some(c) => stitch(&c.log, &tail),
-                    None => tail.clone(),
-                };
-                let outcome = if restarts == 0 {
-                    SessionOutcome::Completed
-                } else {
-                    SessionOutcome::Recovered { resumed_at_step, restarts }
-                };
-                let recovery = (restarts > 0).then(|| RecoveryRecord {
-                    session: i,
-                    restarts,
-                    resumed_at_step,
-                    checkpoint: resume.as_ref().map(|c| c.save.to_text()),
-                    tail: tail.events().to_vec(),
-                });
-                return Played {
-                    outcome,
-                    steps,
-                    log: Some(full),
-                    score: state.score,
-                    recovery,
-                    backoffs_ms: backoffs,
-                };
-            }
-            // Typed errors are the game refusing, not the host crashing:
-            // a restart would hit the same wall, so fail immediately.
-            Ok(Err(e)) => {
-                return Played {
-                    outcome: SessionOutcome::Failed { reason: e.to_string() },
-                    steps: 0,
-                    log: None,
-                    score: 0,
-                    recovery: None,
-                    backoffs_ms: backoffs,
-                };
-            }
-            Err(payload) => {
-                let reason = panic_reason(payload);
-                if restarts >= sup.restart_budget {
-                    return Played {
-                        outcome: SessionOutcome::GaveUp { restarts, reason },
-                        steps: 0,
-                        log: None,
-                        score: 0,
-                        recovery: None,
-                        backoffs_ms: backoffs,
-                    };
-                }
-                restarts += 1;
-                backoffs.push(restart_backoff(sup.restart_backoff_ms, restarts));
-            }
-        }
-    }
-}
+const SUPERVISOR_TRACE_SEED: u64 = 0x10AD_5EED;
 
 /// Warm-phase outcome: where the clock ended up plus fetch accounting.
 pub(crate) struct Warmed {
@@ -1044,10 +831,8 @@ struct Queued {
 
 /// The single-threaded discrete-event state of one supervised run.
 struct Sim<'a> {
-    graph: Arc<SceneGraph>,
-    config: SessionConfig,
+    workload: FleetWorkload<'a>,
     sup: &'a SupervisorConfig,
-    factory: &'a SupervisedBotFactory,
     breaker: CircuitBreaker,
     queue: VecDeque<Queued>,
     /// Free-at time per slot, mirrored for makespan reporting; the
@@ -1137,21 +922,54 @@ impl Sim<'_> {
             self.degraded += 1;
             self.o.degraded.inc();
         }
-        let played = play_supervised(
-            &self.graph,
-            &self.config,
-            self.sup,
-            self.factory,
-            q.idx,
-            &mut self.durable,
-        );
+        let (r, end, resumed_from) = self.play(q.idx, q.mode);
         let step_cost = if q.mode == ServiceMode::ConcealOnly {
             self.sup.step_ms * 0.5
         } else {
             self.sup.step_ms
         };
-        t += played.steps as f64 * step_cost;
-        for &backoff in &played.backoffs_ms {
+        // A finished session is charged each step it reached once;
+        // work redone after a restart is not charged again.
+        let outcome = match end {
+            SegEnd::Finished => {
+                let er = r.engine.as_ref().expect("a finished session keeps its engine");
+                t += er.steps as f64 * step_cost;
+                self.session_logs.push((er.full_log(), er.session.state().score));
+                self.total_steps += er.steps;
+                if r.restarts == 0 {
+                    self.completed += 1;
+                    self.o.completed.inc();
+                    SessionOutcome::Completed
+                } else {
+                    self.recovered += 1;
+                    self.o.recovered.inc();
+                    self.recoveries.push(RecoveryRecord {
+                        session: q.idx,
+                        restarts: r.restarts,
+                        resumed_at_step: r.resumed_at_step,
+                        checkpoint: resumed_from,
+                        tail: er.session.log().events().to_vec(),
+                    });
+                    SessionOutcome::Recovered {
+                        resumed_at_step: r.resumed_at_step,
+                        restarts: r.restarts,
+                    }
+                }
+            }
+            SegEnd::Failed { reason } => {
+                self.failed += 1;
+                self.o.failed.inc();
+                SessionOutcome::Failed { reason }
+            }
+            SegEnd::GaveUp { restarts, reason } => {
+                self.gave_up += 1;
+                self.o.gave_up.inc();
+                SessionOutcome::GaveUp { restarts, reason }
+            }
+            SegEnd::Boundary => unreachable!("play runs to a terminal end"),
+        };
+        for k in 1..=r.restarts {
+            let backoff = restart_backoff(self.sup.restart_backoff_ms, k);
             t += backoff;
             self.recovery_lat.push(backoff);
             self.o.recovery_latency_us.record(us_from_ms(backoff));
@@ -1159,35 +977,60 @@ impl Sim<'_> {
             self.restarts_total += 1;
             self.rec.event("restart", q.idx as u64, us_from_ms(t));
         }
-        match &played.outcome {
-            SessionOutcome::Completed => {
-                self.completed += 1;
-                self.o.completed.inc();
-            }
-            SessionOutcome::Recovered { .. } => {
-                self.recovered += 1;
-                self.o.recovered.inc();
-            }
-            SessionOutcome::Failed { .. } => {
-                self.failed += 1;
-                self.o.failed.inc();
-            }
-            SessionOutcome::GaveUp { .. } => {
-                self.gave_up += 1;
-                self.o.gave_up.inc();
-            }
-            SessionOutcome::Shed { .. } => unreachable!("serve never sheds"),
-        }
-        if let Some(log) = played.log {
-            self.session_logs.push((log, played.score));
-            self.total_steps += played.steps;
-        }
-        if let Some(r) = played.recovery {
-            self.recoveries.push(r);
-        }
-        self.outcomes[q.idx] = Some(played.outcome);
+        self.outcomes[q.idx] = Some(outcome);
         self.rec.event("done", q.idx as u64, us_from_ms(t));
         t
+    }
+
+    /// Plays session `id` to its end: the fleet's segment runner, looped
+    /// until it returns a terminal [`SegEnd`], committing at every
+    /// boundary. Returns the session, how it ended, and the text of the
+    /// checkpoint its last restart resumed from.
+    fn play(&mut self, id: usize, mode: ServiceMode) -> (Running, SegEnd, Option<String>) {
+        let mut r = Running::fresh(id, mode);
+        let mut resumed_from = None;
+        loop {
+            let restarts = r.restarts;
+            let (_, end) = advance_segment(self.sup, &self.workload, &mut r);
+            if r.restarts != restarts {
+                let save = r.committed.as_ref().and_then(|c| c.save.as_ref());
+                resumed_from = save.map(SaveGame::to_text);
+            }
+            match end {
+                SegEnd::Boundary => self.commit(&mut r),
+                SegEnd::Finished => {
+                    // Unlike a fleet shard, which hands sessions off at
+                    // boundaries, the supervisor also checkpoints one
+                    // that runs out of steps unfinished on a boundary.
+                    let er = r.engine.as_ref().expect("a finished session keeps its engine");
+                    if er.steps == self.sup.max_steps
+                        && er.steps.is_multiple_of(self.sup.checkpoint_every)
+                        && !er.session.state().is_over()
+                    {
+                        self.commit(&mut r);
+                    }
+                    return (r, SegEnd::Finished, resumed_from);
+                }
+                end => return (r, end, resumed_from),
+            }
+        }
+    }
+
+    /// Commits `r` at its boundary. With a store set the commit is also
+    /// made durable, and the in-memory checkpoint carries the same causal
+    /// stamp as the durable one.
+    fn commit(&mut self, r: &mut Running) {
+        let mut c = make_commit(SUPERVISOR_TRACE_SEED, self.sup, r);
+        if let Some(d) = self.durable.as_mut() {
+            let record = checkpoint_record(SUPERVISOR_TRACE_SEED, r.id, r.generation, &c);
+            if let Some(save) = c.save.as_mut() {
+                save.trace = Some((record.trace_id, record.span_id));
+            }
+            // Flushed as soon as it is taken: a later panic or a
+            // whole-process loss cannot undo it.
+            persist_checkpoint(d, &record);
+        }
+        r.committed = Some(c);
     }
 }
 
@@ -1267,10 +1110,8 @@ fn supervised_core(
     let mut rec = obs.recorder(label.to_owned());
     rec.enter("supervisor", 0);
     let mut sim = Sim {
-        graph,
-        config,
+        workload: FleetWorkload::Engine { graph, config, factory },
         sup,
-        factory,
         breaker,
         queue: VecDeque::new(),
         slots: vec![0.0; sup.slots],
@@ -1401,6 +1242,7 @@ mod tests {
     use super::*;
     use crate::bot::GuidedBot;
     use crate::fixtures::{fix_the_computer, FRAME};
+    use crate::input::InputEvent;
 
     fn config() -> SessionConfig {
         SessionConfig::for_frame(FRAME.0, FRAME.1)
@@ -1841,6 +1683,7 @@ mod tests {
             SupervisorConfig { restart_backoff_ms: f64::NAN, ..SupervisorConfig::default() },
             SupervisorConfig { step_ms: 0.0, ..SupervisorConfig::default() },
             SupervisorConfig { max_steps: 0, ..SupervisorConfig::default() },
+            SupervisorConfig { checkpoint_every: 0, ..SupervisorConfig::default() },
             SupervisorConfig {
                 ladder: LadderPolicy::SloDriven(SloLadderConfig {
                     shed_budget: 0.0,

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use vgbl_media::color::Rgb;
 use vgbl_media::Frame;
+use vgbl_obs::hash::fnv1a;
 
 use crate::{Result, SceneError};
 
@@ -41,12 +42,7 @@ impl ImageAsset {
     /// paper's umbrella object. Deterministic for a given name.
     pub fn placeholder(name: impl Into<String>, w: u32, h: u32) -> ImageAsset {
         let name = name.into();
-        let seed = name
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |acc, b| {
-                (acc ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-        let color = Rgb::from_seed(seed);
+        let color = Rgb::from_seed(fnv1a(name.as_bytes()));
         let mut image = Frame::filled(w.max(3), h.max(3), Rgb::WHITE)
             .expect("placeholder dims are small and valid");
         // A filled diamond reads as an "object" at any size.

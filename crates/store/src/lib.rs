@@ -46,24 +46,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use vgbl_obs::hash::{fnv1a, mix, unit};
 use vgbl_obs::{Counter, Histogram, Obs};
 
 // ---------------------------------------------------------------------------
-// Seeded hashing (the same splitmix64 idiom the rest of the stack uses)
+// Seeded fault draws
 // ---------------------------------------------------------------------------
-
-/// splitmix64 finalizer: uniform, cheap, stateless.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Maps a hash to a uniform draw in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// Domain separation salts — one per fault coordinate family.
 const SALT_TORN: u64 = 0xD15C_0001;
@@ -72,18 +60,6 @@ const SALT_LOST: u64 = 0xD15C_0003;
 const SALT_REORDER: u64 = 0xD15C_0004;
 const SALT_STALE: u64 = 0xD15C_0005;
 const SALT_ROT_BYTE: u64 = 0xD15C_0006;
-
-/// FNV-1a over bytes — the same construction `SaveGame::digest` uses,
-/// so a record's checksum and the checkpoint digest it protects share
-/// one corruption model.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Errors

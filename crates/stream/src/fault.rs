@@ -21,6 +21,8 @@
 //! consumed by the retrying client in [`crate::client`]; stalls are
 //! *link*-level events visible to anything that times transfers.
 
+use vgbl_obs::hash::{mix, unit};
+
 use crate::chunk::ChunkId;
 use crate::link::Link;
 use crate::{Result, StreamError};
@@ -31,19 +33,6 @@ const SALT_LOSS: u64 = 0x1000_0001;
 const SALT_CORRUPT: u64 = 0x2000_0002;
 const SALT_STALL: u64 = 0x3000_0003;
 const SALT_JITTER: u64 = 0x4000_0004;
-
-/// splitmix64 finaliser: a well-mixed 64-bit hash of its input.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Maps a hash to a uniform `f64` in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// What the fault plan decrees for one delivery attempt of one chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
