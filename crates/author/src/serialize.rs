@@ -275,17 +275,23 @@ pub fn from_vgp(text: &str) -> Result<Project> {
                     Some(Rgb::new((v >> 16) as u8, (v >> 8) as u8, v as u8))
                 };
                 let hex = word(&args, 5, ln)?;
-                if hex.len() != (w * h * 3) as usize * 2 {
+                // Two hex digits per RGB byte, checked: hostile
+                // dimensions must not overflow into a matching length.
+                let expected = (w as usize)
+                    .checked_mul(h as usize)
+                    .and_then(|px| px.checked_mul(6));
+                if expected != Some(hex.len()) {
                     return Err(parse_err(ln, "asset pixel data length mismatch"));
                 }
+                // Decoded byte by byte, so a multibyte character is just
+                // a non-hex byte, never a split `str`.
+                let nibble = |b: u8| char::from(b).to_digit(16);
                 let mut data = Vec::with_capacity(hex.len() / 2);
-                let hb = hex.as_bytes();
-                for pair in hb.chunks_exact(2) {
-                    let s = std::str::from_utf8(pair).expect("hex is ascii");
-                    data.push(
-                        u8::from_str_radix(s, 16)
-                            .map_err(|_| parse_err(ln, "bad hex in asset data"))?,
-                    );
+                for pair in hex.as_bytes().chunks_exact(2) {
+                    let (Some(hi), Some(lo)) = (nibble(pair[0]), nibble(pair[1])) else {
+                        return Err(parse_err(ln, "bad hex in asset data"));
+                    };
+                    data.push((hi << 4 | lo) as u8);
                 }
                 let image =
                     Frame::from_raw(w, h, data).map_err(|e| parse_err(ln, e.to_string()))?;

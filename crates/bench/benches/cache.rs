@@ -17,6 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use vgbl::media::cache::{GopCache, VideoId};
 use vgbl::media::codec::{Decoder, Quality};
 use vgbl::media::seek::seek_cached;
+use vgbl::obs::Obs;
 use vgbl::runtime::server::run_playback_cohort;
 use vgbl_bench::{bench_footage, encode, table_for};
 
@@ -38,7 +39,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let cache = GopCache::new(cap);
                     for &t in &targets {
-                        seek_cached(&dec, &video, id, &cache, t).unwrap();
+                        seek_cached(&dec, &video, id, &cache, t, &Obs::noop()).unwrap();
                     }
                 });
             },
@@ -51,11 +52,11 @@ fn bench(c: &mut Criterion) {
             |b, &cap| {
                 let cache = GopCache::new(cap);
                 for &t in &targets {
-                    seek_cached(&dec, &video, id, &cache, t).unwrap();
+                    seek_cached(&dec, &video, id, &cache, t, &Obs::noop()).unwrap();
                 }
                 b.iter(|| {
                     for &t in &targets {
-                        seek_cached(&dec, &video, id, &cache, t).unwrap();
+                        seek_cached(&dec, &video, id, &cache, t, &Obs::noop()).unwrap();
                     }
                 });
             },
@@ -79,6 +80,7 @@ fn bench(c: &mut Criterion) {
                     sessions,
                     4,
                     24,
+                    &Obs::noop(),
                 )
                 .unwrap()
             });
@@ -101,7 +103,8 @@ fn bench(c: &mut Criterion) {
                         for _ in 0..threads {
                             s.spawn(|_| {
                                 for _ in 0..8 {
-                                    seek_cached(&dec, &video, id, &cache, 3).unwrap();
+                                    seek_cached(&dec, &video, id, &cache, 3, &Obs::noop())
+                                        .unwrap();
                                 }
                             });
                         }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vgbl::obs::Obs;
 use vgbl::runtime::bot::{run_session, GuidedBot, RandomBot};
 use vgbl::runtime::fixtures::{fix_the_computer, FRAME};
 use vgbl::runtime::SessionConfig;
@@ -18,7 +19,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("guided_session", |b| {
         b.iter(|| {
             let mut bot = GuidedBot::new();
-            run_session(graph.clone(), config.clone(), &mut bot, 100, 50).unwrap()
+            run_session(graph.clone(), config.clone(), &mut bot, 100, 50, &Obs::noop(), "").unwrap()
         });
     });
     group.bench_function("random_session_120steps", |b| {
@@ -26,7 +27,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let mut bot = RandomBot::new(StdRng::seed_from_u64(seed));
-            run_session(graph.clone(), config.clone(), &mut bot, 120, 50).unwrap()
+            run_session(graph.clone(), config.clone(), &mut bot, 120, 50, &Obs::noop(), "").unwrap()
         });
     });
     group.finish();

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vgbl::media::cache::{GopCache, VideoId};
 use vgbl::media::codec::{Decoder, Quality};
 use vgbl::media::seek::{seek, seek_cached};
+use vgbl::obs::Obs;
 use vgbl_bench::{bench_footage, encode};
 
 fn bench(c: &mut Criterion) {
@@ -30,12 +31,12 @@ fn bench(c: &mut Criterion) {
         let id = VideoId::of(&video);
         let cache = GopCache::new(64);
         for &t in &targets {
-            seek_cached(&dec, &video, id, &cache, t).unwrap();
+            seek_cached(&dec, &video, id, &cache, t, &Obs::noop()).unwrap();
         }
         group.bench_with_input(BenchmarkId::new("gop_warm", gop), &gop, |b, _| {
             b.iter(|| {
                 for &t in &targets {
-                    seek_cached(&dec, &video, id, &cache, t).unwrap();
+                    seek_cached(&dec, &video, id, &cache, t, &Obs::noop()).unwrap();
                 }
             });
         });

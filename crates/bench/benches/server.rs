@@ -1,15 +1,18 @@
-//! EXP-8 — multi-session server scalability: bot sessions per second vs
-//! worker threads over shared immutable content, plus playback cohorts
-//! decoding through a shared (warm) vs per-session (cold) GOP cache.
+//! EXP-8 — multi-session server scalability: bot sessions per second on
+//! the cooperative executor and vs worker threads on the
+//! thread-per-session reference, over shared immutable content, plus
+//! playback cohorts decoding through a shared (warm) vs per-session
+//! (cold) GOP cache.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vgbl::media::cache::GopCache;
 use vgbl::media::Quality;
+use vgbl::obs::Obs;
 use vgbl::runtime::bot::{Bot, GuidedBot};
 use vgbl::runtime::fixtures::{fix_the_computer, FRAME};
-use vgbl::runtime::server::{run_cohort, run_playback_cohort};
+use vgbl::runtime::server::{run_cohort, run_cohort_threaded, run_playback_cohort};
 use vgbl::runtime::SessionConfig;
 use vgbl_bench::{bench_footage, encode, table_for};
 
@@ -21,10 +24,23 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("exp8_server");
     group.sample_size(10);
     group.throughput(Throughput::Elements(sessions as u64));
+    group.bench_function("executor", |b| {
+        b.iter(|| {
+            run_cohort(
+                graph.clone(),
+                config.clone(),
+                sessions,
+                &|_| Box::new(GuidedBot::new()) as Box<dyn Bot>,
+                100,
+                50,
+            )
+            .unwrap()
+        });
+    });
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &workers| {
             b.iter(|| {
-                run_cohort(
+                run_cohort_threaded(
                     graph.clone(),
                     config.clone(),
                     sessions,
@@ -61,6 +77,7 @@ fn bench(c: &mut Criterion) {
                         sessions,
                         4,
                         24,
+                        &Obs::noop(),
                     )
                     .unwrap()
                 });
@@ -78,6 +95,7 @@ fn bench(c: &mut Criterion) {
                         sessions,
                         4,
                         24,
+                        &Obs::noop(),
                     )
                     .unwrap()
                 });

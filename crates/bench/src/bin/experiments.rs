@@ -25,11 +25,12 @@ use vgbl::media::seek::{average_seek_cost, expected_seek_cost, seek};
 use vgbl::media::shot::{score_detection, ShotDetector, ShotDetectorConfig, Threshold};
 use vgbl::media::stats::psnr_from_mse;
 use vgbl::media::{ContainerReader, ContainerWriter, SegmentId, SegmentTable};
+use vgbl::obs::Obs;
 use vgbl::prelude::*;
 use vgbl::runtime::baseline::{dvd_menu_cost, interactive_cost, linear_cost};
 use vgbl::runtime::bot::{run_session, Bot, GuidedBot, RandomBot};
 use vgbl::runtime::fixtures;
-use vgbl::runtime::server::run_cohort;
+use vgbl::runtime::server::{run_cohort, run_cohort_threaded};
 use vgbl::script::{EventKind, MapEnv, Value};
 use vgbl::stream::{simulate, ChunkMap, LinkModel, PrefetchPolicy, TraceStep};
 use vgbl_bench::{bench_footage, chain_graph, dense_scene, encode, table_for};
@@ -386,7 +387,8 @@ fn exp7() {
     let (project, _) = vgbl::sample::fix_the_computer_project(3).expect("sample builds");
     let game = vgbl::publish::publish(project).expect("publishable");
     let mut bot = GuidedBot::new();
-    let run = run_session(game.graph.clone(), game.session_config(), &mut bot, 100, 400)
+    let config = game.session_config();
+    let run = run_session(game.graph.clone(), config, &mut bot, 100, 400, &Obs::noop(), "")
         .expect("bot plays");
     let real_trace = vgbl::trace::trace_from_log(&game, &run.log);
     let real_map = ChunkMap::build(&game.video, &game.segments).expect("chunks");
@@ -417,35 +419,37 @@ fn exp8() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
         "{sessions} random-player sessions (400 steps each), shared immutable \
-         content; host has {cores} core(s):\n"
+         content; host has {cores} core(s).\nWorker rows run the thread-per-session \
+         reference, the last row the cooperative executor:\n"
     );
     println!("{:<10} {:>12} {:>14} {:>10}", "workers", "wall ms", "sessions/s", "speedup");
+    let factory = |i: usize| Box::new(RandomBot::new(StdRng::seed_from_u64(i as u64))) as Box<dyn Bot>;
     let mut base = 0.0f64;
+    let row = |name: &str, wall: f64, base: f64| {
+        println!(
+            "{:<10} {:>12.0} {:>14.0} {:>9.2}x",
+            name,
+            wall,
+            sessions as f64 / (wall / 1000.0),
+            base / wall
+        );
+    };
     for workers in [1usize, 2, 4, 8] {
         let t0 = Instant::now();
-        let report = run_cohort(
-            graph.clone(),
-            config.clone(),
-            sessions,
-            workers,
-            &|i| Box::new(RandomBot::new(StdRng::seed_from_u64(i as u64))) as Box<dyn Bot>,
-            400,
-            50,
-        )
-        .expect("cohort runs");
+        let report =
+            run_cohort_threaded(graph.clone(), config.clone(), sessions, workers, &factory, 400, 50)
+                .expect("cohort runs");
         let wall = ms(t0);
         assert_eq!(report.sessions, sessions);
         if workers == 1 {
             base = wall;
         }
-        println!(
-            "{:<10} {:>12.0} {:>14.0} {:>9.2}x",
-            workers,
-            wall,
-            sessions as f64 / (wall / 1000.0),
-            base / wall
-        );
+        row(&workers.to_string(), wall, base);
     }
+    let t0 = Instant::now();
+    let report = run_cohort(graph, config, sessions, &factory, 400, 50).expect("cohort runs");
+    assert_eq!(report.sessions, sessions);
+    row("executor", ms(t0), base);
     if cores == 1 {
         println!("\n(single-core host: flat scaling is the expected result here;");
         println!("the parallel path is correctness-verified by the test suite.)");
@@ -461,7 +465,6 @@ fn exp9() {
         graph.clone(),
         config.clone(),
         n,
-        4,
         &|_| Box::new(GuidedBot::new()) as Box<dyn Bot>,
         120,
         50,
@@ -471,7 +474,6 @@ fn exp9() {
         graph.clone(),
         config.clone(),
         n,
-        4,
         &|_| Box::new(vgbl::runtime::ExplorerBot::new()) as Box<dyn Bot>,
         150,
         50,
@@ -481,7 +483,6 @@ fn exp9() {
         graph.clone(),
         config.clone(),
         n,
-        4,
         &|i| Box::new(RandomBot::new(StdRng::seed_from_u64(i as u64))) as Box<dyn Bot>,
         120,
         50,
@@ -525,7 +526,8 @@ fn exp9() {
 
     // Per-scenario dwell time of one guided playthrough (§3.2 analytics).
     let mut bot = GuidedBot::new();
-    let run = run_session(graph, config, &mut bot, 100, 50).expect("session runs");
+    let run =
+        run_session(graph, config, &mut bot, 100, 50, &Obs::noop(), "").expect("session runs");
     println!("\none guided session, time per scenario:");
     for (scenario, t) in run.log.time_per_scenario() {
         println!("  {scenario:<12} {t:>6} ms");
@@ -595,7 +597,7 @@ fn exp11() {
         let cache = GopCache::new(cap);
         let t0 = Instant::now();
         for &t in &targets {
-            seek_cached(&dec, &video, id, &cache, t).expect("seeks");
+            seek_cached(&dec, &video, id, &cache, t, &Obs::noop()).expect("seeks");
         }
         let cold = ms(t0) / targets.len() as f64;
         // Keep residents, zero the counters: the second pass is the
@@ -603,7 +605,7 @@ fn exp11() {
         cache.reset_counters();
         let t1 = Instant::now();
         for &t in &targets {
-            seek_cached(&dec, &video, id, &cache, t).expect("seeks");
+            seek_cached(&dec, &video, id, &cache, t, &Obs::noop()).expect("seeks");
         }
         let warm = ms(t1) / targets.len() as f64;
         println!(
@@ -632,8 +634,10 @@ fn exp11() {
                 sessions,
                 4,
                 40,
+                &Obs::noop(),
             )
-            .expect("cohort runs");
+            .expect("cohort runs")
+            .0;
             println!(
                 "{:<10} {:<10} {:>13} {:>14} {:>9.0}% {:>10.0}",
                 sessions,
@@ -683,8 +687,12 @@ fn exp12() {
         table.len(),
         map.len()
     );
-    let link = |plan| FaultyLink::new(LinkModel::mbps(2.0, 30.0).expect("valid link"), plan);
     let policy = PrefetchPolicy::BranchAware { per_branch: 1 };
+    // One unobserved session over a 2 Mbit/s link faulted per `plan`.
+    let session = |plan, retry: &RetryPolicy| {
+        let link = FaultyLink::new(LinkModel::mbps(2.0, 30.0).expect("valid link"), plan);
+        simulate_faulty(&map, &link, policy, retry, None, &trace, &Obs::noop(), String::new())
+    };
 
     // Loss sweep with the default retry budget (3 retries, capped
     // exponential backoff): every lost chunk is recovered within the
@@ -697,8 +705,7 @@ fn exp12() {
     let mut sweep = Vec::new();
     for loss in [0.0, 0.001, 0.01, 0.05] {
         let plan = FaultPlan::new(42).with_loss(loss).expect("valid rate");
-        let report = simulate_faulty(&map, &link(plan), policy, &RetryPolicy::default(), &trace)
-            .expect("faulty stream completes");
+        let report = session(plan, &RetryPolicy::default()).expect("faulty stream completes");
         let s = report.stats;
         println!(
             "{:<8} {:>11.0} {:>8} {:>10.0} {:>8} {:>9} {:>8} {:>11.0} {:>10.1}%",
@@ -722,8 +729,7 @@ fn exp12() {
     // lost once are abandoned and concealed — playback still completes.
     let tight = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
     let plan = FaultPlan::new(42).with_loss(0.05).expect("valid rate");
-    let report =
-        simulate_faulty(&map, &link(plan), policy, &tight, &trace).expect("still completes");
+    let report = session(plan, &tight).expect("still completes");
     println!(
         "\n5% loss with the retry budget removed (max_retries = 0): {} of {} chunks\nconcealed as freeze-frame ({:.0} ms), delivery ratio {:.1}% — the stream\ndegrades, it does not fail.",
         report.concealed.len(),
@@ -739,8 +745,7 @@ fn exp12() {
         .iter()
         .map(|&loss| {
             let plan = FaultPlan::new(42).with_loss(loss).expect("valid rate");
-            simulate_faulty(&map, &link(plan), policy, &RetryPolicy::default(), &trace)
-                .expect("faulty stream completes")
+            session(plan, &RetryPolicy::default()).expect("faulty stream completes")
         })
         .collect();
     let stats: Vec<_> = sweep.iter().map(|r| r.stats).collect();
@@ -809,7 +814,6 @@ fn exp12() {
         graph,
         config,
         64,
-        4,
         &|i| {
             if i == 17 {
                 Box::new(PanicBot)
@@ -834,10 +838,9 @@ fn exp12() {
 fn exp13() {
     header("EXP-13", "observability: instrumented cohort profile, counters vs reports");
     use vgbl::media::cache::GopCache;
-    use vgbl::obs::Obs;
-    use vgbl::runtime::server::run_playback_cohort_observed;
+    use vgbl::runtime::server::run_playback_cohort;
     use vgbl::runtime::ResilienceReport;
-    use vgbl::stream::{simulate_faulty_observed, FaultPlan, FaultyLink, RetryPolicy};
+    use vgbl::stream::{simulate_faulty, FaultPlan, FaultyLink, RetryPolicy};
 
     // One instrumented run: a playback cohort decoding through an
     // observed shared cache, then a faulty-streaming sweep, all into a
@@ -855,7 +858,7 @@ fn exp13() {
         // dependent, and this experiment pins byte-identical exports.
         // EXP-11 covers the multi-worker scaling story.
         let cache = Arc::new(GopCache::new(32).observed(&obs));
-        let playback = run_playback_cohort_observed(
+        let playback = run_playback_cohort(
             video.clone(),
             &table,
             cache.clone(),
@@ -864,7 +867,8 @@ fn exp13() {
             40,
             &obs,
         )
-        .expect("cohort runs");
+        .expect("cohort runs")
+        .0;
 
         // Pillar 2: streaming under injected loss, one observed session
         // per loss rate.
@@ -892,11 +896,12 @@ fn exp13() {
         for (i, &loss) in [0.0, 0.01, 0.05].iter().enumerate() {
             let plan = FaultPlan::new(42).with_loss(loss).expect("valid rate");
             let link = FaultyLink::new(LinkModel::mbps(2.0, 30.0).expect("valid link"), plan);
-            let report = simulate_faulty_observed(
+            let report = simulate_faulty(
                 &map,
                 &link,
                 policy,
                 &RetryPolicy::default(),
+                None,
                 &trace,
                 &obs,
                 format!("stream-{i:04}"),
@@ -963,11 +968,9 @@ fn exp13() {
 
 fn exp14() {
     header("EXP-14", "supervised sessions: overload, circuit breaking, crash recovery");
-    use vgbl::obs::Obs;
     use vgbl::runtime::save::SaveGame;
     use vgbl::runtime::supervisor::{
-        resume_session, run_supervised_cohort, run_supervised_cohort_observed, ArrivalPlan,
-        SupervisorConfig,
+        resume_session, run_supervised_cohort, ArrivalPlan, SupervisorConfig,
     };
     use vgbl::stream::{FaultPlan, LoadSpike};
 
@@ -999,8 +1002,11 @@ fn exp14() {
                 48,
                 &|_, _| Box::new(GuidedBot::new()),
                 &arrivals,
+                &Obs::noop(),
+                "",
             )
-            .expect("supervised cohort runs");
+            .expect("supervised cohort runs")
+            .0;
             assert!(
                 report.accounts_exactly(),
                 "admitted = completed + failed + recovered + gave_up must hold: {report:?}"
@@ -1040,7 +1046,7 @@ fn exp14() {
         let arrivals = ArrivalPlan::new(9, 20.0)
             .expect("positive mean gap")
             .with_spike(LoadSpike::new(0.0, 200.0, 3.0).expect("valid spike"));
-        let report = run_supervised_cohort_observed(
+        let report = run_supervised_cohort(
             graph.clone(),
             config.clone(),
             &sup,
@@ -1050,7 +1056,8 @@ fn exp14() {
             &obs,
             "exp14",
         )
-        .expect("supervised cohort runs");
+        .expect("supervised cohort runs")
+        .0;
         let snap = obs.snapshot();
         let exports = (snap.to_table(), snap.metrics_csv(), snap.spans_csv(), snap.to_jsonl());
         (sup, report, snap, exports)
@@ -1143,12 +1150,11 @@ fn exp14() {
 
 fn exp15() {
     header("EXP-15", "windowed telemetry: SLO-driven ladder, burn-rate alerts, flamegraphs");
-    use vgbl::obs::{folded_stacks, hotspot_table, profile_diff, AlertPhase, Obs};
+    use vgbl::obs::{folded_stacks, hotspot_table, profile_diff, AlertPhase};
     use vgbl::runtime::supervisor::{
-        run_supervised_cohort_observed, ArrivalPlan, LadderPolicy, SloLadderConfig,
-        SupervisorConfig,
+        run_supervised_cohort, ArrivalPlan, LadderPolicy, SloLadderConfig, SupervisorConfig,
     };
-    use vgbl::stream::{simulate_faulty_observed, FaultPlan, FaultyLink, RetryPolicy};
+    use vgbl::stream::{simulate_faulty, FaultPlan, FaultyLink, RetryPolicy};
 
     let graph = Arc::new(fixtures::fix_the_computer());
     let config = SessionConfig::for_frame(fixtures::FRAME.0, fixtures::FRAME.1);
@@ -1176,7 +1182,7 @@ fn exp15() {
             ..SupervisorConfig::default()
         };
         let arrivals = ArrivalPlan::new(2, 700.0).expect("positive mean gap");
-        let report = run_supervised_cohort_observed(
+        let report = run_supervised_cohort(
             graph.clone(),
             config.clone(),
             &sup,
@@ -1186,7 +1192,8 @@ fn exp15() {
             &obs,
             "exp15",
         )
-        .expect("supervised cohort runs");
+        .expect("supervised cohort runs")
+        .0;
         let series_csv = obs.series_csv();
         let alerts_csv = report.alerts.to_csv();
         (report, series_csv, alerts_csv)
@@ -1279,11 +1286,12 @@ fn exp15() {
             .collect();
         let plan = FaultPlan::new(0xE15).with_loss(loss).expect("valid rate");
         let link = FaultyLink::new(LinkModel::mbps(2.0, 30.0).expect("valid link"), plan);
-        simulate_faulty_observed(
+        simulate_faulty(
             &map,
             &link,
             PrefetchPolicy::Linear { lookahead: 1 },
             &RetryPolicy::default(),
+            None,
             &trace,
             &obs,
             "stream".into(),
@@ -1539,11 +1547,7 @@ fn exp17() {
 fn exp18() {
     header("EXP-18", "cooperative executor: 10k+ in-flight sessions, batched chunk I/O");
     use vgbl::media::cache::GopCache;
-    use vgbl::obs::Obs;
-    use vgbl::runtime::server::{
-        run_playback_cohort_observed, run_playback_cohort_observed_threaded,
-        run_playback_cohort_with_stats,
-    };
+    use vgbl::runtime::server::{run_playback_cohort, run_playback_cohort_threaded};
 
     // `EXP18_SESSIONS` scales the cohort down for CI smoke runs; the
     // recorded numbers come from the default 12k-session run.
@@ -1562,13 +1566,14 @@ fn exp18() {
     // the full cohort — n sessions in flight at once on one shard, no
     // OS threads per session.
     let run = || {
-        run_playback_cohort_with_stats(
+        run_playback_cohort(
             video.clone(),
             &table,
             Arc::new(GopCache::new(64)),
             n,
             4,
             30,
+            &Obs::noop(),
         )
         .expect("cohort runs")
     };
@@ -1605,9 +1610,12 @@ fn exp18() {
 
     // Part 2: scheduling is invisible. A small observed cohort run on
     // the executor and on the thread-per-session reference path agrees
-    // byte for byte — outcome rows and all four obs export formats.
+    // byte for byte — outcome rows and all four obs export formats,
+    // once the executor's own scheduling telemetry (`executor.*` run
+    // queue and fetch-batch rows, which a thread-per-session path
+    // cannot have) is projected out.
     let obs_exec = Obs::recording();
-    let exec = run_playback_cohort_observed(
+    let exec = run_playback_cohort(
         video.clone(),
         &table,
         Arc::new(GopCache::new(64)),
@@ -1616,9 +1624,10 @@ fn exp18() {
         25,
         &obs_exec,
     )
-    .expect("cohort runs");
+    .expect("cohort runs")
+    .0;
     let obs_thr = Obs::recording();
-    let threaded = run_playback_cohort_observed_threaded(
+    let threaded = run_playback_cohort_threaded(
         video.clone(),
         &table,
         Arc::new(GopCache::new(64)),
@@ -1638,16 +1647,20 @@ fn exp18() {
         (threaded.frames_served, threaded.switches, threaded.frames_decoded),
         "same serving and decode totals on both schedulers"
     );
+    let strip = |export: String| -> String {
+        export.lines().filter(|l| !l.contains("executor.")).map(|l| format!("{l}\n")).collect()
+    };
     let se = obs_exec.snapshot();
     let st = obs_thr.snapshot();
-    assert_eq!(se.to_table(), st.to_table());
-    assert_eq!(se.metrics_csv(), st.metrics_csv());
-    assert_eq!(se.spans_csv(), st.spans_csv());
-    assert_eq!(se.to_jsonl(), st.to_jsonl());
+    assert_eq!(strip(se.to_table()), strip(st.to_table()));
+    assert_eq!(strip(se.metrics_csv()), strip(st.metrics_csv()));
+    assert_eq!(strip(se.spans_csv()), strip(st.spans_csv()));
+    assert_eq!(strip(se.to_jsonl()), strip(st.to_jsonl()));
     println!(
         "\n64-session observed cohort, executor vs thread-per-session reference:\n\
          outcome rows, serving totals and all four obs exports byte-identical\n\
-         — the executor changes who schedules, never what the sessions see."
+         (executor.* scheduling rows aside) — the executor changes who\n\
+         schedules, never what the sessions see."
     );
 }
 

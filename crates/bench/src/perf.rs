@@ -36,8 +36,8 @@ use vgbl::media::SegmentId;
 use vgbl::obs::hash::{fnv1a_extend, FNV_OFFSET};
 use vgbl::obs::{folded_stacks, hotspot_table, Obs, SpanRecorder};
 use vgbl::runtime::{
-    run_fleet, run_playback_cohort, run_playback_cohort_with_stats, ArrivalPlan, FleetConfig,
-    FleetWorkload, ShardFault, ShardFaultKind, SupervisorConfig,
+    run_fleet, run_playback_cohort, ArrivalPlan, FleetConfig, FleetWorkload, ShardFault,
+    ShardFaultKind, SupervisorConfig,
 };
 use vgbl::store::{DiskFaultPlan, StoreConfig};
 use vgbl::stream::{simulate, ChunkMap, LinkModel, PrefetchPolicy, TraceStep};
@@ -332,7 +332,8 @@ pub fn run(mode: Mode, label: &str) -> BenchReport {
     let wall = timed(&mut rec, "seek_cached", &mut || {
         for &t in &targets {
             std::hint::black_box(
-                seek_cached(&decoder, &video, video_id, &cache, t).expect("cached seek"),
+                seek_cached(&decoder, &video, video_id, &cache, t, &Obs::noop())
+                    .expect("cached seek"),
             );
         }
     });
@@ -369,9 +370,16 @@ pub fn run(mode: Mode, label: &str) -> BenchReport {
     let mut served = 0usize;
     let wall = timed(&mut rec, "cohort_playback", &mut || {
         let cache = Arc::new(GopCache::new(n_gops));
-        let report =
-            run_playback_cohort(video.clone(), &table, cache, w.sessions, w.workers, w.steps)
-                .expect("cohort runs");
+        let (report, _) = run_playback_cohort(
+            video.clone(),
+            &table,
+            cache,
+            w.sessions,
+            w.workers,
+            w.steps,
+            &Obs::noop(),
+        )
+        .expect("cohort runs");
         assert_eq!(report.failed, 0, "bench cohort must not fail");
         served = report.frames_served;
     });
@@ -413,13 +421,14 @@ pub fn run(mode: Mode, label: &str) -> BenchReport {
     // overhead across many concurrent tasks, not serve volume.
     let wall = timed(&mut rec, "executor", &mut || {
         let cache = Arc::new(GopCache::new(n_gops));
-        let (report, stats) = run_playback_cohort_with_stats(
+        let (report, stats) = run_playback_cohort(
             video.clone(),
             &table,
             cache,
             w.executor_sessions,
             w.workers,
             10,
+            &Obs::noop(),
         )
         .expect("executor cohort runs");
         assert_eq!(report.failed, 0, "bench executor cohort must not fail");

@@ -11,6 +11,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use vgbl_author::Project;
+use vgbl_obs::Obs;
 use vgbl_runtime::bot::{run_session, Bot, ExplorerBot, GuidedBot};
 use vgbl_runtime::SessionConfig;
 
@@ -75,7 +76,7 @@ pub fn playtest(
         PlaytestStyle::Guided => Box::new(GuidedBot::new()),
         PlaytestStyle::Explorer => Box::new(ExplorerBot::new()),
     };
-    let run = run_session(graph.clone(), config, &mut *bot, max_steps, 50)
+    let run = run_session(graph.clone(), config, &mut *bot, max_steps, 50, &Obs::noop(), "")
         .map_err(VgblError::Runtime)?;
 
     let mut unvisited: Vec<String> = Vec::new();

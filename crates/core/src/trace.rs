@@ -58,6 +58,7 @@ mod tests {
     use super::*;
     use crate::publish::publish;
     use crate::sample::fix_the_computer_project;
+    use vgbl_obs::Obs;
     use vgbl_runtime::bot::{run_session, GuidedBot};
     use vgbl_stream::{simulate, ChunkMap, LinkModel, PrefetchPolicy};
 
@@ -66,7 +67,8 @@ mod tests {
         let (project, _) = fix_the_computer_project(2).unwrap();
         let game = publish(project).unwrap();
         let mut bot = GuidedBot::new();
-        let run = run_session(game.graph.clone(), game.session_config(), &mut bot, 100, 100)
+        let config = game.session_config();
+        let run = run_session(game.graph.clone(), config, &mut bot, 100, 100, &Obs::noop(), "")
             .unwrap();
         assert_eq!(run.state.ended.as_deref(), Some("fixed"));
 

@@ -55,7 +55,7 @@ pub use container::{
 };
 pub use error::MediaError;
 pub use frame::Frame;
-pub use seek::{seek, seek_cached, seek_observed, SeekStats};
+pub use seek::{seek, seek_cached, SeekStats};
 pub use segment::{Segment, SegmentId, SegmentTable};
 pub use shot::{CutScore, ShotDetector, ShotDetectorConfig};
 pub use synth::{Footage, FootageSpec, ShotSpec};

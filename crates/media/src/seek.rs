@@ -39,32 +39,14 @@ pub fn seek(decoder: &Decoder, video: &EncodedVideo, index: usize) -> Result<(Fr
 ///
 /// The returned frame is bit-identical to [`seek`]'s — both reconstruct
 /// the same GOP walk; the cache only changes *when* decoding happens.
+///
+/// Each seek increments `seek.requests` in `obs` and records the
+/// GOP-walk cost (`seek.gop_walk_frames`, frames actually decoded — 0
+/// on a resident GOP) and the keyframe distance
+/// (`seek.keyframe_distance`, frames between the target and its
+/// preceding keyframe, the quantity EXP-3 sweeps), all under
+/// `pillar=media`. With [`Obs::noop`] that is four `Option` checks.
 pub fn seek_cached(
-    decoder: &Decoder,
-    video: &EncodedVideo,
-    video_id: VideoId,
-    cache: &GopCache,
-    index: usize,
-) -> Result<(Frame, SeekStats)> {
-    let keyframe = video.keyframe_before(index)?;
-    let mut frames_decoded = 0usize;
-    let gop = cache.get_or_decode(video_id, keyframe, || {
-        let frames = decoder.decode_gop_at(video, keyframe)?;
-        frames_decoded = frames.len();
-        Ok(frames)
-    })?;
-    let frame = gop[index - keyframe].clone();
-    Ok((frame, SeekStats { target: index, keyframe, frames_decoded }))
-}
-
-/// [`seek_cached`] with observability: each seek increments
-/// `seek.requests` and records the GOP-walk cost (`seek.gop_walk_frames`,
-/// frames actually decoded — 0 on a resident GOP) and the keyframe
-/// distance (`seek.keyframe_distance`, frames between the target and its
-/// preceding keyframe, the quantity EXP-3 sweeps). All under
-/// `pillar=media`. With a noop backend this is [`seek_cached`] plus
-/// four `Option` checks.
-pub fn seek_observed(
     decoder: &Decoder,
     video: &EncodedVideo,
     video_id: VideoId,
@@ -74,17 +56,22 @@ pub fn seek_observed(
 ) -> Result<(Frame, SeekStats)> {
     let labels: &[(&str, &str)] = &[("pillar", "media")];
     obs.counter("seek.requests", labels).inc();
-    let out = seek_cached(decoder, video, video_id, cache, index)?;
-    let stats = out.1;
-    obs.histogram("seek.gop_walk_frames", labels).record(stats.frames_decoded as u64);
-    obs.histogram("seek.keyframe_distance", labels)
-        .record((stats.target - stats.keyframe) as u64);
+    let keyframe = video.keyframe_before(index)?;
+    let mut frames_decoded = 0usize;
+    let gop = cache.get_or_decode(video_id, keyframe, || {
+        let frames = decoder.decode_gop_at(video, keyframe)?;
+        frames_decoded = frames.len();
+        Ok(frames)
+    })?;
+    let frame = gop[index - keyframe].clone();
+    obs.histogram("seek.gop_walk_frames", labels).record(frames_decoded as u64);
+    obs.histogram("seek.keyframe_distance", labels).record((index - keyframe) as u64);
     // Windowed series keyed by position on the media timeline (the
     // target frame index), so hot seek regions show up as bins with
     // high max distance — the histogram alone can't localise them.
     obs.series(SeriesSpec::gauge("seek.keyframe_distance_series", 16, 64))
-        .record(stats.target as u64, (stats.target - stats.keyframe) as u64);
-    Ok(out)
+        .record(index as u64, (index - keyframe) as u64);
+    Ok((frame, SeekStats { target: index, keyframe, frames_decoded }))
 }
 
 /// Average number of frames decoded per seek over the given targets.
@@ -185,7 +172,7 @@ mod tests {
         let cache = GopCache::new(8);
         for target in 0..10 {
             let (direct, _) = seek(&dec, &ev, target).unwrap();
-            let (cached, stats) = seek_cached(&dec, &ev, id, &cache, target).unwrap();
+            let (cached, stats) = seek_cached(&dec, &ev, id, &cache, target, &Obs::noop()).unwrap();
             assert_eq!(cached, direct, "target {target}");
             assert_eq!(stats.target, target);
             assert_eq!(stats.keyframe, (target / 4) * 4);
@@ -199,11 +186,11 @@ mod tests {
         let dec = Decoder::default();
         let cache = GopCache::new(8);
         // Cold pass: each GOP decodes fully, exactly once.
-        let (_, cold) = seek_cached(&dec, &ev, id, &cache, 3).unwrap();
+        let (_, cold) = seek_cached(&dec, &ev, id, &cache, 3, &Obs::noop()).unwrap();
         assert_eq!(cold.frames_decoded, 5, "cold seek decodes the whole GOP");
         // Warm passes: any target in the resident GOP costs zero decodes.
         for target in 0..5 {
-            let (_, warm) = seek_cached(&dec, &ev, id, &cache, target).unwrap();
+            let (_, warm) = seek_cached(&dec, &ev, id, &cache, target, &Obs::noop()).unwrap();
             assert_eq!(warm.frames_decoded, 0, "target {target}");
             assert!(warm.frames_decoded < cold.frames_decoded);
         }
@@ -218,7 +205,7 @@ mod tests {
         let cache = GopCache::new(0);
         for target in [1usize, 6, 3] {
             let (direct, _) = seek(&dec, &ev, target).unwrap();
-            let (cached, stats) = seek_cached(&dec, &ev, id, &cache, target).unwrap();
+            let (cached, stats) = seek_cached(&dec, &ev, id, &cache, target, &Obs::noop()).unwrap();
             assert_eq!(cached, direct);
             assert!(stats.frames_decoded >= 1, "capacity 0 always decodes");
         }
@@ -234,7 +221,7 @@ mod tests {
         let obs = Obs::recording();
         // Cold seek to frame 3 (walk decodes GOP of 5), warm seeks 0..5.
         for target in [3usize, 0, 1, 2, 3, 4] {
-            let (frame, _) = seek_observed(&dec, &ev, id, &cache, target, &obs).unwrap();
+            let (frame, _) = seek_cached(&dec, &ev, id, &cache, target, &obs).unwrap();
             let (direct, _) = seek(&dec, &ev, target).unwrap();
             assert_eq!(frame, direct);
         }
@@ -252,7 +239,7 @@ mod tests {
     fn cached_seek_out_of_range_errors() {
         let ev = encoded(4, 6);
         let cache = GopCache::new(4);
-        let err = seek_cached(&Decoder::default(), &ev, VideoId::of(&ev), &cache, 6);
+        let err = seek_cached(&Decoder::default(), &ev, VideoId::of(&ev), &cache, 6, &Obs::noop());
         assert!(err.is_err());
     }
 }

@@ -200,6 +200,7 @@ proptest! {
         use vgbl_media::cache::{GopCache, VideoId};
         use vgbl_media::codec::{Decoder, EncodeConfig, Encoder};
         use vgbl_media::seek::seek_cached;
+        use vgbl_obs::Obs;
         use vgbl_media::synth::{FootageSpec, ShotSpec};
 
         let footage = FootageSpec {
@@ -219,7 +220,8 @@ proptest! {
         let cache = GopCache::new(capacity);
         for &o in &order {
             let target = o % frames;
-            let (cached, stats) = seek_cached(&dec, &video, id, &cache, target).unwrap();
+            let (cached, stats) =
+                seek_cached(&dec, &video, id, &cache, target, &Obs::noop()).unwrap();
             let (direct, walked) = dec.decode_frame(&video, target).unwrap();
             prop_assert_eq!(&cached, &direct, "target {}", target);
             prop_assert_eq!(stats.keyframe, video.keyframe_before(target).unwrap());

@@ -12,7 +12,7 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use rand::Rng;
-use vgbl_obs::{Obs, SpanRecorder};
+use vgbl_obs::Obs;
 use vgbl_scene::{ObjectKind, SceneGraph};
 use vgbl_script::EventKind;
 
@@ -473,26 +473,17 @@ impl BotRun {
 
 /// Drives one session with a bot for at most `max_steps` inputs; a
 /// `tick_ms` tick is injected after every input to advance game time.
-pub fn run_session(
-    graph: Arc<SceneGraph>,
-    config: SessionConfig,
-    bot: &mut dyn Bot,
-    max_steps: usize,
-    tick_ms: u64,
-) -> Result<BotRun> {
-    run_session_observed(graph, config, bot, max_steps, tick_ms, &Obs::noop(), "")
-}
-
-/// [`run_session`] with observability: engine counters flow into `obs`
-/// and the playthrough is recorded as one trace labelled `label` — a
-/// root `session` span over the game clock with an `input` event per
-/// decision. Timestamps are the session's **simulated** game clock in
-/// microseconds, so identical bot runs export identical traces.
+///
+/// Engine counters flow into `obs` and the playthrough is recorded as
+/// one trace labelled `label` — a root `session` span over the game
+/// clock with an `input` event per decision. Timestamps are the
+/// session's **simulated** game clock in microseconds, so identical bot
+/// runs export identical traces.
 ///
 /// The trace is attached even when the run errors mid-way (the root
 /// span is closed at the last decision's timestamp), so a failed
 /// session still tells its story.
-pub fn run_session_observed(
+pub fn run_session(
     graph: Arc<SceneGraph>,
     config: SessionConfig,
     bot: &mut dyn Bot,
@@ -501,35 +492,20 @@ pub fn run_session_observed(
     obs: &Obs,
     label: &str,
 ) -> Result<BotRun> {
-    let mut rec = if obs.enabled() {
-        SpanRecorder::new(label.to_owned())
-    } else {
-        SpanRecorder::disabled()
-    };
-    let result = run_session_core(graph, config, bot, max_steps, tick_ms, obs, &mut rec);
+    let mut rec = obs.recorder(label.to_owned());
+    let run = GameSession::new(graph, config).and_then(|(mut session, _)| {
+        session.set_obs(obs);
+        rec.enter("session", 0);
+        let steps = drive(&mut session, bot, 0, max_steps, tick_ms, |s, n| {
+            rec.event("input", n as u64, s.state().total_clock_ms.saturating_mul(1000));
+        })?;
+        // Saturating: a pathological session clock must pin the span's
+        // end at the u64 horizon, not wrap it before its start.
+        rec.exit(session.state().total_clock_ms.saturating_mul(1000));
+        Ok(BotRun::of(&session, steps))
+    });
     obs.attach(rec);
-    result
-}
-
-fn run_session_core(
-    graph: Arc<SceneGraph>,
-    config: SessionConfig,
-    bot: &mut dyn Bot,
-    max_steps: usize,
-    tick_ms: u64,
-    obs: &Obs,
-    rec: &mut SpanRecorder,
-) -> Result<BotRun> {
-    let (mut session, _) = GameSession::new(graph, config)?;
-    session.set_obs(obs);
-    rec.enter("session", 0);
-    let steps = drive(&mut session, bot, 0, max_steps, tick_ms, |s, n| {
-        rec.event("input", n as u64, s.state().total_clock_ms.saturating_mul(1000));
-    })?;
-    // Saturating: a pathological session clock must pin the span's end
-    // at the u64 horizon, not wrap it before its start.
-    rec.exit(session.state().total_clock_ms.saturating_mul(1000));
-    Ok(BotRun::of(&session, steps))
+    run
 }
 
 /// The one decision loop every session driver runs: from `start_step`,
@@ -584,7 +560,8 @@ mod tests {
             InputEvent::click(42, 4),           // back
             InputEvent::apply("fan", 25, 20),   // fix
         ]);
-        let run = run_session(Arc::new(fix_the_computer()), config(), &mut bot, 20, 100).unwrap();
+        let graph = Arc::new(fix_the_computer());
+        let run = run_session(graph, config(), &mut bot, 20, 100, &Obs::noop(), "").unwrap();
         assert_eq!(run.state.ended.as_deref(), Some("fixed"));
         assert_eq!(run.state.score, 25);
         assert_eq!(run.steps, 5);
@@ -594,8 +571,8 @@ mod tests {
     #[test]
     fn guided_bot_solves_the_paper_game() {
         let mut bot = GuidedBot::new();
-        let run =
-            run_session(Arc::new(fix_the_computer()), config(), &mut bot, 100, 100).unwrap();
+        let graph = Arc::new(fix_the_computer());
+        let run = run_session(graph, config(), &mut bot, 100, 100, &Obs::noop(), "").unwrap();
         assert_eq!(run.state.ended.as_deref(), Some("fixed"), "log: {:?}", run.log.events());
         assert!(run.steps < 30, "guided bot took {} steps", run.steps);
         assert!(run.log.knowledge_events() >= 2);
@@ -604,15 +581,16 @@ mod tests {
     #[test]
     fn guided_bot_solves_two_room_loop() {
         let mut bot = GuidedBot::new();
-        let run = run_session(Arc::new(two_room_loop()), config(), &mut bot, 50, 0).unwrap();
+        let graph = Arc::new(two_room_loop());
+        let run = run_session(graph, config(), &mut bot, 50, 0, &Obs::noop(), "").unwrap();
         assert_eq!(run.state.ended.as_deref(), Some("done"));
     }
 
     #[test]
     fn random_bot_eventually_does_things() {
         let mut bot = RandomBot::new(StdRng::seed_from_u64(7));
-        let run =
-            run_session(Arc::new(fix_the_computer()), config(), &mut bot, 300, 50).unwrap();
+        let graph = Arc::new(fix_the_computer());
+        let run = run_session(graph, config(), &mut bot, 300, 50, &Obs::noop(), "").unwrap();
         // It must at least have made decisions and triggered something.
         assert!(run.log.decisions() > 100 || run.state.is_over());
         assert!(!run.log.is_empty());
@@ -622,7 +600,7 @@ mod tests {
     fn random_bot_is_deterministic_per_seed() {
         let run = |seed: u64| {
             let mut bot = RandomBot::new(StdRng::seed_from_u64(seed));
-            run_session(Arc::new(fix_the_computer()), config(), &mut bot, 100, 50)
+            run_session(Arc::new(fix_the_computer()), config(), &mut bot, 100, 50, &Obs::noop(), "")
                 .unwrap()
                 .log
                 .events()
@@ -640,7 +618,7 @@ mod tests {
         let mut random_done = 0;
         for seed in 0..10u64 {
             let mut g = GuidedBot::new();
-            if run_session(graph.clone(), config(), &mut g, 60, 50)
+            if run_session(graph.clone(), config(), &mut g, 60, 50, &Obs::noop(), "")
                 .unwrap()
                 .state
                 .is_over()
@@ -648,7 +626,7 @@ mod tests {
                 guided_done += 1;
             }
             let mut r = RandomBot::new(StdRng::seed_from_u64(seed));
-            if run_session(graph.clone(), config(), &mut r, 60, 50)
+            if run_session(graph.clone(), config(), &mut r, 60, 50, &Obs::noop(), "")
                 .unwrap()
                 .state
                 .is_over()
@@ -664,7 +642,7 @@ mod tests {
     fn obs_observed_run_matches_plain_run_and_exports_one_trace() {
         let obs = Obs::recording();
         let mut bot = GuidedBot::new();
-        let observed = run_session_observed(
+        let observed = run_session(
             Arc::new(fix_the_computer()),
             config(),
             &mut bot,
@@ -676,8 +654,8 @@ mod tests {
         .unwrap();
         // Observation does not perturb the run.
         let mut bot2 = GuidedBot::new();
-        let plain =
-            run_session(Arc::new(fix_the_computer()), config(), &mut bot2, 100, 50).unwrap();
+        let graph = Arc::new(fix_the_computer());
+        let plain = run_session(graph, config(), &mut bot2, 100, 50, &Obs::noop(), "").unwrap();
         assert_eq!(observed.steps, plain.steps);
         assert_eq!(observed.state.score, plain.state.score);
         assert_eq!(observed.state.ended, plain.state.ended);
@@ -697,7 +675,8 @@ mod tests {
     #[test]
     fn run_session_respects_step_budget() {
         let mut bot = ScriptedBot::new(std::iter::repeat_n(InputEvent::click(0, 0), 500));
-        let run = run_session(Arc::new(two_room_loop()), config(), &mut bot, 10, 0).unwrap();
+        let graph = Arc::new(two_room_loop());
+        let run = run_session(graph, config(), &mut bot, 10, 0, &Obs::noop(), "").unwrap();
         assert_eq!(run.steps, 10);
     }
 }
@@ -715,9 +694,10 @@ mod explorer_tests {
     fn explorer_completes_and_sees_more_than_guided() {
         let graph = Arc::new(fix_the_computer());
         let mut guided = GuidedBot::new();
-        let g = run_session(graph.clone(), config(), &mut guided, 150, 50).unwrap();
+        let g = run_session(graph.clone(), config(), &mut guided, 150, 50, &Obs::noop(), "")
+            .unwrap();
         let mut explorer = ExplorerBot::new();
-        let e = run_session(graph, config(), &mut explorer, 150, 50).unwrap();
+        let e = run_session(graph, config(), &mut explorer, 150, 50, &Obs::noop(), "").unwrap();
         assert_eq!(e.state.ended.as_deref(), Some("fixed"), "log: {:?}", e.log.events());
         assert!(
             e.log.knowledge_events() >= g.log.knowledge_events(),
@@ -733,7 +713,8 @@ mod explorer_tests {
     fn explorer_visits_every_scenario() {
         let graph = Arc::new(fix_the_computer());
         let mut explorer = ExplorerBot::new();
-        let run = run_session(graph.clone(), config(), &mut explorer, 150, 50).unwrap();
+        let run = run_session(graph.clone(), config(), &mut explorer, 150, 50, &Obs::noop(), "")
+            .unwrap();
         for s in graph.scenarios() {
             assert!(run.state.visited.contains(&s.name), "missed {}", s.name);
         }
@@ -744,7 +725,7 @@ mod explorer_tests {
         let graph = Arc::new(fix_the_computer());
         let run = |_: ()| {
             let mut bot = ExplorerBot::new();
-            run_session(graph.clone(), config(), &mut bot, 150, 50)
+            run_session(graph.clone(), config(), &mut bot, 150, 50, &Obs::noop(), "")
                 .unwrap()
                 .log
                 .events()

@@ -65,7 +65,7 @@ pub mod supervisor;
 pub use analytics::{
     DecodeReuse, LatencySummary, LearningReport, LogEvent, ResilienceReport, SessionLog,
 };
-pub use bot::{run_session, run_session_observed, Bot, BotRun, ExplorerBot, GuidedBot, RandomBot};
+pub use bot::{run_session, Bot, BotRun, ExplorerBot, GuidedBot, RandomBot};
 pub use device::{RemoteButton, RemoteControl};
 pub use engine::{GameSession, SessionConfig};
 pub use error::RuntimeError;
@@ -87,14 +87,12 @@ pub use inventory::Inventory;
 pub use playback::{PlaybackController, PlaybackStats};
 pub use save::SaveGame;
 pub use server::{
-    run_cohort, run_cohort_threaded, run_playback_cohort, run_playback_cohort_observed,
-    run_playback_cohort_observed_threaded, run_playback_cohort_threaded,
-    run_playback_cohort_with_stats, PlaybackCohortReport, ServerReport, SessionOutcome,
+    run_cohort, run_cohort_threaded, run_playback_cohort, run_playback_cohort_threaded,
+    PlaybackCohortReport, ServerReport, SessionOutcome,
 };
 pub use state::GameState;
 pub use supervisor::{
-    resume_session, run_supervised_cohort, run_supervised_cohort_durable,
-    run_supervised_cohort_observed, ArrivalPlan, LadderPolicy, RecoveryRecord, ServiceMode,
+    resume_session, run_supervised_cohort, ArrivalPlan, LadderPolicy, RecoveryRecord, ServiceMode,
     SloLadderConfig, SupervisedBotFactory, SupervisorConfig, SupervisorReport,
 };
 

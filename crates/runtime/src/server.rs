@@ -10,7 +10,9 @@
 //! and aggregate the per-session analytics into one [`LearningReport`].
 //! The original thread-per-session implementations are kept as
 //! `*_threaded` reference paths; `tests/executor_equivalence.rs` pins
-//! the two byte-identical.
+//! the two byte-identical. Both playback cohort drivers take the `&Obs`
+//! their counters and per-session traces go to ([`Obs::noop`] records
+//! nothing).
 //!
 //! **Fault isolation**: a session that errors — or outright panics — is
 //! contained to its own [`SessionOutcome::Failed`] row. The rest of the
@@ -201,8 +203,8 @@ impl SessionTask for BotSessionTask<'_> {
 /// Deterministic *per session*: session `i` always plays the same game
 /// (factories receive the session index, so seeded bots reproduce runs
 /// regardless of scheduling). Byte-identical to
-/// [`run_cohort_threaded`]; `workers` is accepted for API compatibility
-/// (bot decisions are not batchable work).
+/// [`run_cohort_threaded`] at any worker count; bot decisions are not
+/// batchable work, so there is no decode pool to size.
 ///
 /// Sessions are fault-isolated: a panicking or erroring session becomes
 /// a [`SessionOutcome::Failed`] row while every other session completes,
@@ -215,12 +217,10 @@ pub fn run_cohort(
     graph: Arc<SceneGraph>,
     config: SessionConfig,
     n_sessions: usize,
-    workers: usize,
     bot_factory: &BotFactory,
     max_steps: usize,
     tick_ms: u64,
 ) -> Result<ServerReport> {
-    let _ = workers;
     if n_sessions == 0 {
         return Ok(ServerReport {
             sessions: 0,
@@ -304,7 +304,8 @@ pub fn run_cohort_threaded(
                 for i in job_rx.iter() {
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         let mut bot = bot_factory(i);
-                        run_session(graph.clone(), config.clone(), &mut *bot, max_steps, tick_ms)
+                        let (graph, config) = (graph.clone(), config.clone());
+                        run_session(graph, config, &mut *bot, max_steps, tick_ms, &Obs::noop(), "")
                     }));
                     let row = match run {
                         Ok(Ok(r)) => Ok(r),
@@ -470,7 +471,8 @@ impl SessionTask for PlaybackSessionTask<'_> {
 /// Runs `n_sessions` simulated playback sessions on the cooperative
 /// executor, all decoding through one shared [`GopCache`]; `workers`
 /// sizes the work-stealing pool the per-tick batch prewarm fans decode
-/// work over.
+/// work over. Returns the cohort report and the executor's scheduler
+/// counters (EXP-18 reads `peak_in_flight` and the batch totals).
 ///
 /// Each session is a deterministic seeded random walk: it starts in
 /// segment `i mod n_segments`, and per step either switches to a random
@@ -478,30 +480,10 @@ impl SessionTask for PlaybackSessionTask<'_> {
 /// *frames each session sees* are bit-exact regardless of `workers` or
 /// cache capacity; only who pays for decoding varies, which is exactly
 /// what [`PlaybackCohortReport`] measures.
-pub fn run_playback_cohort(
-    video: Arc<EncodedVideo>,
-    segments: &SegmentTable,
-    cache: Arc<GopCache>,
-    n_sessions: usize,
-    workers: usize,
-    steps_per_session: usize,
-) -> Result<PlaybackCohortReport> {
-    playback_cohort_executor_core(
-        video,
-        segments,
-        cache,
-        n_sessions,
-        workers,
-        steps_per_session,
-        &Obs::noop(),
-    )
-    .map(|(report, _stats)| report)
-}
-
-/// [`run_playback_cohort`] with observability: playback and cache
-/// counters flow into `obs`, and every session exports one trace
-/// (labelled `playback-0007`-style) of `switch`/`render` events on the
-/// media timeline.
+///
+/// Playback and cache counters flow into `obs`, and every session
+/// exports one trace (labelled `playback-0007`-style) of
+/// `switch`/`render` events on the media timeline.
 ///
 /// **Panic-safe flushing**: each session's [`SpanRecorder`] lives
 /// outside the executor's per-poll isolation boundary and is attached
@@ -510,44 +492,11 @@ pub fn run_playback_cohort(
 /// recorded moment). The cohort's `cohort.sessions_completed` /
 /// `cohort.sessions_failed` counters match the report's `sessions` /
 /// `failed` fields exactly.
-pub fn run_playback_cohort_observed(
-    video: Arc<EncodedVideo>,
-    segments: &SegmentTable,
-    cache: Arc<GopCache>,
-    n_sessions: usize,
-    workers: usize,
-    steps_per_session: usize,
-    obs: &Obs,
-) -> Result<PlaybackCohortReport> {
-    playback_cohort_executor_core(video, segments, cache, n_sessions, workers, steps_per_session, obs)
-        .map(|(report, _stats)| report)
-}
-
-/// [`run_playback_cohort`] exposing the executor's scheduler counters —
-/// EXP-18 reads `peak_in_flight` and the batch totals from here.
 ///
 /// # Errors
-/// Never fails on per-session problems; mirrors [`run_playback_cohort`].
-pub fn run_playback_cohort_with_stats(
-    video: Arc<EncodedVideo>,
-    segments: &SegmentTable,
-    cache: Arc<GopCache>,
-    n_sessions: usize,
-    workers: usize,
-    steps_per_session: usize,
-) -> Result<(PlaybackCohortReport, ExecutorStats)> {
-    playback_cohort_executor_core(
-        video,
-        segments,
-        cache,
-        n_sessions,
-        workers,
-        steps_per_session,
-        &Obs::noop(),
-    )
-}
-
-fn playback_cohort_executor_core(
+/// Never fails on per-session problems; the `Result` is kept for
+/// structural errors of future transports.
+pub fn run_playback_cohort(
     video: Arc<EncodedVideo>,
     segments: &SegmentTable,
     cache: Arc<GopCache>,
@@ -589,11 +538,7 @@ fn playback_cohort_executor_core(
             n_segments,
             steps: steps_per_session,
             obs,
-            rec: if obs.enabled() {
-                SpanRecorder::new(format!("playback-{i:04}"))
-            } else {
-                SpanRecorder::disabled()
-            },
+            rec: obs.recorder(format!("playback-{i:04}")),
             player: None,
             renders: Series::default(),
             switches: Series::default(),
@@ -662,47 +607,11 @@ fn playback_cohort_executor_core(
 /// [`run_playback_cohort`]: `workers` OS threads, one `catch_unwind`
 /// per session, every session decoding for itself through the shared
 /// cache's miss-coalescing. Kept as the reference the executor path is
-/// pinned byte-identical against.
+/// pinned byte-identical against, observability exports included.
 ///
 /// # Errors
 /// Never fails on per-session problems; mirrors [`run_playback_cohort`].
 pub fn run_playback_cohort_threaded(
-    video: Arc<EncodedVideo>,
-    segments: &SegmentTable,
-    cache: Arc<GopCache>,
-    n_sessions: usize,
-    workers: usize,
-    steps_per_session: usize,
-) -> Result<PlaybackCohortReport> {
-    playback_cohort_core(
-        video,
-        segments,
-        cache,
-        n_sessions,
-        workers,
-        steps_per_session,
-        &Obs::noop(),
-    )
-}
-
-/// [`run_playback_cohort_observed`]'s thread-per-session reference
-/// implementation; see [`run_playback_cohort_threaded`].
-///
-/// # Errors
-/// Never fails on per-session problems; mirrors [`run_playback_cohort`].
-pub fn run_playback_cohort_observed_threaded(
-    video: Arc<EncodedVideo>,
-    segments: &SegmentTable,
-    cache: Arc<GopCache>,
-    n_sessions: usize,
-    workers: usize,
-    steps_per_session: usize,
-    obs: &Obs,
-) -> Result<PlaybackCohortReport> {
-    playback_cohort_core(video, segments, cache, n_sessions, workers, steps_per_session, obs)
-}
-
-fn playback_cohort_core(
     video: Arc<EncodedVideo>,
     segments: &SegmentTable,
     cache: Arc<GopCache>,
@@ -746,11 +655,7 @@ fn playback_cohort_core(
                 for i in job_rx.iter() {
                     // The recorder lives *outside* the unwind boundary:
                     // a panicking session still flushes its spans.
-                    let mut rec = if obs.enabled() {
-                        SpanRecorder::new(format!("playback-{i:04}"))
-                    } else {
-                        SpanRecorder::disabled()
-                    };
+                    let mut rec = obs.recorder(format!("playback-{i:04}"));
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         play_one_session(
                             video.clone(),
@@ -866,7 +771,6 @@ mod tests {
             Arc::new(fix_the_computer()),
             config(),
             16,
-            4,
             &|_| Box::new(GuidedBot::new()),
             100,
             50,
@@ -880,22 +784,18 @@ mod tests {
 
     #[test]
     fn results_are_deterministic_across_worker_counts() {
-        let run = |workers: usize| {
-            run_cohort(
-                Arc::new(fix_the_computer()),
-                config(),
-                12,
-                workers,
-                &|i| Box::new(RandomBot::new(StdRng::seed_from_u64(i as u64))),
-                80,
-                50,
-            )
-            .unwrap()
+        let factory: &BotFactory = &|i| Box::new(RandomBot::new(StdRng::seed_from_u64(i as u64)));
+        let graph = Arc::new(fix_the_computer());
+        let threaded = |workers: usize| {
+            run_cohort_threaded(graph.clone(), config(), 12, workers, factory, 80, 50).unwrap()
         };
-        let a = run(1);
-        let b = run(4);
+        let a = threaded(1);
+        let b = threaded(4);
+        let exec = run_cohort(graph.clone(), config(), 12, factory, 80, 50).unwrap();
         assert_eq!(a.learning, b.learning);
         assert_eq!(a.total_steps, b.total_steps);
+        assert_eq!(exec.learning, a.learning);
+        assert_eq!(exec.total_steps, a.total_steps);
     }
 
     #[test]
@@ -904,7 +804,6 @@ mod tests {
             Arc::new(fix_the_computer()),
             config(),
             0,
-            4,
             &|_| Box::new(GuidedBot::new()),
             10,
             0,
@@ -943,8 +842,8 @@ mod tests {
     fn playback_cohort_shares_decode_work() {
         let (video, table) = cohort_video();
         let cache = Arc::new(GopCache::new(16));
-        let report =
-            run_playback_cohort(video.clone(), &table, cache, 64, 4, 40).unwrap();
+        let (report, _) =
+            run_playback_cohort(video.clone(), &table, cache, 64, 4, 40, &Obs::noop()).unwrap();
         assert_eq!(report.sessions, 64);
         assert!(report.frames_served >= 64 * 30);
         // 6 GOPs × 6 frames = 36 decodable frames. With a cache that holds
@@ -970,8 +869,10 @@ mod tests {
                 12,
                 workers,
                 30,
+                &Obs::noop(),
             )
             .unwrap()
+            .0
         };
         let a = run(1, 16);
         let b = run(4, 16);
@@ -989,8 +890,8 @@ mod tests {
     #[test]
     fn empty_playback_cohort_is_fine() {
         let (video, table) = cohort_video();
-        let report =
-            run_playback_cohort(video, &table, Arc::new(GopCache::new(4)), 0, 4, 10).unwrap();
+        let cache = Arc::new(GopCache::new(4));
+        let (report, _) = run_playback_cohort(video, &table, cache, 0, 4, 10, &Obs::noop()).unwrap();
         assert_eq!(report.sessions, 0);
         assert_eq!(report.frames_served, 0);
     }
@@ -999,7 +900,7 @@ mod tests {
     fn obs_observed_cohort_counters_match_report_exactly() {
         let (video, table) = cohort_video();
         let obs = Obs::recording();
-        let report = run_playback_cohort_observed(
+        let (report, _) = run_playback_cohort(
             video.clone(),
             &table,
             Arc::new(GopCache::new(16)),
@@ -1010,8 +911,9 @@ mod tests {
         )
         .unwrap();
         // Observation does not perturb the cohort.
-        let plain =
-            run_playback_cohort(video, &table, Arc::new(GopCache::new(16)), 12, 4, 30).unwrap();
+        let cache = Arc::new(GopCache::new(16));
+        let (plain, _) =
+            run_playback_cohort(video, &table, cache, 12, 4, 30, &Obs::noop()).unwrap();
         assert_eq!(report.frames_served, plain.frames_served);
         assert_eq!(report.switches, plain.switches);
 
@@ -1037,7 +939,7 @@ mod tests {
         let (video, table) = cohort_video();
         let run = |workers: usize| {
             let obs = Obs::recording();
-            run_playback_cohort_observed(
+            run_playback_cohort(
                 video.clone(),
                 &table,
                 Arc::new(GopCache::new(16)),
@@ -1084,7 +986,6 @@ mod tests {
             Arc::new(fix_the_computer()),
             config(),
             64,
-            4,
             &|i| {
                 if i == 17 {
                     Box::new(PanicBot)
@@ -1120,7 +1021,6 @@ mod tests {
             Arc::new(fix_the_computer()),
             config(),
             8,
-            2,
             &|i| {
                 if i % 2 == 1 {
                     Box::new(ErrBot)
@@ -1153,13 +1053,14 @@ mod tests {
         let mut broken = (*video).clone();
         assert!(broken.frames[0].data.len() > 4, "keyframe has a payload");
         broken.frames[0].data.truncate(3);
-        let report = run_playback_cohort(
+        let (report, _) = run_playback_cohort(
             Arc::new(broken),
             &table,
             Arc::new(GopCache::new(16)),
             12,
             4,
             30,
+            &Obs::noop(),
         )
         .expect("cohort must return Ok despite corrupt GOP");
         // Sessions 0, 3, 6, 9 start in segment 0 (i % 3 == 0).
@@ -1178,7 +1079,6 @@ mod tests {
             Arc::new(fix_the_computer()),
             config(),
             10,
-            2,
             &|i| {
                 if i % 2 == 0 {
                     Box::new(GuidedBot::new())

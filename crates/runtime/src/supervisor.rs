@@ -49,8 +49,8 @@
 //!   checkpoint is also appended to a [`DurableStore`] (canonical
 //!   save-game text, checksummed, flushed through the simulated WAL),
 //!   so progress survives losing the whole *process*, not just one
-//!   session's slot. [`run_supervised_cohort_durable`] hands the store
-//!   back for cold-restart recovery via [`DurableStore::recover`] +
+//!   session's slot. [`run_supervised_cohort`] hands the store back
+//!   for cold-restart recovery via [`DurableStore::recover`] +
 //!   [`resume_session`].
 
 use std::collections::VecDeque;
@@ -1041,59 +1041,22 @@ impl Sim<'_> {
 /// Fully deterministic: identical inputs produce identical
 /// [`SupervisorReport`]s, field for field.
 ///
+/// Every admission event increments a `supervisor.*` counter in `obs`,
+/// queue waits and recovery latencies flow into histograms, peak queue
+/// depth into a gauge, and the whole run exports one trace labelled
+/// `label` of `admit`/`shed`/`restart`/`done` events on the simulated
+/// clock.
+///
+/// The durable checkpoint store comes back alongside the report when
+/// [`SupervisorConfig::store`] is set — the single-node cold-restart
+/// path: feed it to [`DurableStore::recover`] and resume each surviving
+/// session with [`resume_session`].
+///
 /// # Errors
 /// [`RuntimeError::InvalidSupervisor`] when `sup` fails validation;
 /// per-session problems never fail the cohort.
+#[allow(clippy::too_many_arguments)]
 pub fn run_supervised_cohort(
-    graph: Arc<SceneGraph>,
-    config: SessionConfig,
-    sup: &SupervisorConfig,
-    n_sessions: usize,
-    factory: &SupervisedBotFactory,
-    arrivals: &ArrivalPlan,
-) -> Result<SupervisorReport> {
-    supervised_core(graph, config, sup, n_sessions, factory, arrivals, &Obs::noop(), "")
-        .map(|(report, _)| report)
-}
-
-/// [`run_supervised_cohort`] with observability: every admission event
-/// increments a `supervisor.*` counter, queue waits and recovery
-/// latencies flow into histograms, peak queue depth into a gauge, and
-/// the whole run exports one trace of `admit`/`shed`/`restart`/`done`
-/// events on the simulated clock.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_cohort_observed(
-    graph: Arc<SceneGraph>,
-    config: SessionConfig,
-    sup: &SupervisorConfig,
-    n_sessions: usize,
-    factory: &SupervisedBotFactory,
-    arrivals: &ArrivalPlan,
-    obs: &Obs,
-    label: &str,
-) -> Result<SupervisorReport> {
-    supervised_core(graph, config, sup, n_sessions, factory, arrivals, obs, label)
-        .map(|(report, _)| report)
-}
-
-/// [`run_supervised_cohort`] that also returns the durable checkpoint
-/// store after the run (when [`SupervisorConfig::store`] is set) — the
-/// single-node cold-restart path: feed the returned store to
-/// [`DurableStore::recover`] and resume each surviving session with
-/// [`resume_session`].
-pub fn run_supervised_cohort_durable(
-    graph: Arc<SceneGraph>,
-    config: SessionConfig,
-    sup: &SupervisorConfig,
-    n_sessions: usize,
-    factory: &SupervisedBotFactory,
-    arrivals: &ArrivalPlan,
-) -> Result<(SupervisorReport, Option<DurableStore>)> {
-    supervised_core(graph, config, sup, n_sessions, factory, arrivals, &Obs::noop(), "")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn supervised_core(
     graph: Arc<SceneGraph>,
     config: SessionConfig,
     sup: &SupervisorConfig,
@@ -1329,8 +1292,11 @@ mod tests {
             8,
             &|_, _| Box::new(GuidedBot::new()),
             &arrivals,
+            &Obs::noop(),
+            "",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.accounts_exactly(), "{report:?}");
         assert_eq!(report.admitted, 8);
         assert_eq!(report.shed, 0);
@@ -1360,8 +1326,11 @@ mod tests {
             32,
             &|_, _| Box::new(GuidedBot::new()),
             &arrivals,
+            &Obs::noop(),
+            "",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.accounts_exactly(), "{report:?}");
         assert!(report.shed > 0, "overload must shed: {report:?}");
         assert!(report.degraded > 0, "overload must degrade before shedding");
@@ -1393,8 +1362,11 @@ mod tests {
             8,
             &|_, _| Box::new(GuidedBot::new()),
             &arrivals,
+            &Obs::noop(),
+            "",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.accounts_exactly());
         assert!(
             report
@@ -1427,7 +1399,10 @@ mod tests {
         let arrivals = ArrivalPlan::new(4, 10_000.0).unwrap();
         let graph = Arc::new(fix_the_computer());
         let report = quiet(|| {
-            run_supervised_cohort(graph.clone(), config(), &sup, 4, &factory, &arrivals).unwrap()
+            let obs = Obs::noop();
+            run_supervised_cohort(graph.clone(), config(), &sup, 4, &factory, &arrivals, &obs, "")
+                .unwrap()
+                .0
         });
         assert!(report.accounts_exactly(), "{report:?}");
         assert_eq!(report.recovered, 1);
@@ -1494,8 +1469,11 @@ mod tests {
                     }
                 },
                 &arrivals,
+                &Obs::noop(),
+                "",
             )
             .unwrap()
+            .0
         });
         assert!(report.accounts_exactly(), "{report:?}");
         assert_eq!(report.gave_up, 1);
@@ -1538,8 +1516,11 @@ mod tests {
                 }
             },
             &arrivals,
+            &Obs::noop(),
+            "",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.accounts_exactly());
         assert_eq!(report.failed, 1);
         assert_eq!(report.restarts, 0, "typed errors never restart");
@@ -1573,8 +1554,11 @@ mod tests {
             6,
             &|_, _| Box::new(GuidedBot::new()),
             &arrivals,
+            &Obs::noop(),
+            "",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.accounts_exactly());
         assert!(report.breaker.trips >= 1, "{:?}", report.breaker);
         assert!(report.warm_skipped > 0, "an open breaker skips warm fetches");
@@ -1608,7 +1592,7 @@ mod tests {
                 .with_spike(LoadSpike::new(0.0, 200.0, 3.0).unwrap());
             let obs = Obs::recording();
             let report = quiet(|| {
-                run_supervised_cohort_observed(
+                run_supervised_cohort(
                     Arc::new(fix_the_computer()),
                     config(),
                     &sup,
@@ -1619,6 +1603,7 @@ mod tests {
                     "supervised",
                 )
                 .unwrap()
+                .0
             });
             let snap = obs.snapshot();
             (report, snap.to_table(), snap.metrics_csv(), snap.spans_csv(), snap.to_jsonl())
@@ -1643,7 +1628,7 @@ mod tests {
         };
         let arrivals = ArrivalPlan::new(10, 5.0).unwrap();
         let obs = Obs::recording();
-        let report = run_supervised_cohort_observed(
+        let report = run_supervised_cohort(
             Arc::new(fix_the_computer()),
             config(),
             &sup,
@@ -1653,7 +1638,8 @@ mod tests {
             &obs,
             "mirror",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let snap = obs.snapshot();
         assert_eq!(snap.counter_total("supervisor.admitted"), report.admitted as u64);
         assert_eq!(snap.counter_total("supervisor.shed"), report.shed as u64);
@@ -1723,6 +1709,8 @@ mod tests {
                 1,
                 &|_, _| Box::new(GuidedBot::new()),
                 &arrivals,
+                &Obs::noop(),
+                "",
             );
             assert!(
                 matches!(out, Err(RuntimeError::InvalidSupervisor(_))),
@@ -1740,8 +1728,11 @@ mod tests {
             0,
             &|_, _| Box::new(GuidedBot::new()),
             &ArrivalPlan::new(1, 100.0).unwrap(),
+            &Obs::noop(),
+            "",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.accounts_exactly());
         assert_eq!(report.sessions, 0);
         assert_eq!(report.makespan_ms, 0.0);
@@ -1787,8 +1778,11 @@ mod tests {
                 32,
                 &|_, _| Box::new(GuidedBot::new()),
                 &arrivals,
+                &Obs::noop(),
+                "",
             )
             .unwrap()
+            .0
         };
         let occ = run(LadderPolicy::Occupancy);
         let slo = run(LadderPolicy::SloDriven(slo_ladder()));
@@ -1820,8 +1814,11 @@ mod tests {
                 24,
                 &|_, _| Box::new(GuidedBot::new()),
                 &arrivals,
+                &Obs::noop(),
+                "",
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let shed = &report.ledgers[0];
             assert_eq!(shed.objective, "shed_rate");
             assert_eq!(shed.bad as usize, report.shed, "ledger bad == report shed");
@@ -1839,7 +1836,7 @@ mod tests {
         let sup = SupervisorConfig { ladder: LadderPolicy::SloDriven(slo_ladder()), ..sup };
         let run = || {
             let obs = Obs::recording();
-            let report = run_supervised_cohort_observed(
+            let report = run_supervised_cohort(
                 Arc::new(fix_the_computer()),
                 config(),
                 &sup,
@@ -1849,7 +1846,8 @@ mod tests {
                 &obs,
                 "slo-ladder",
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let alerts_csv = report.alerts.to_csv();
             let series_csv = obs.series_csv();
             (report, alerts_csv, series_csv)
@@ -1876,10 +1874,13 @@ mod tests {
             24,
             &|_, _| Box::new(GuidedBot::new()),
             &arrivals,
+            &Obs::noop(),
+            "",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let obs = Obs::recording();
-        let observed = run_supervised_cohort_observed(
+        let observed = run_supervised_cohort(
             Arc::new(fix_the_computer()),
             config(),
             &sup,
@@ -1889,7 +1890,8 @@ mod tests {
             &obs,
             "paired",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(noop, observed, "observability must never steer the ladder");
         assert!(!noop.alerts.is_empty() || noop.shed == 0, "alerts work without obs too");
     }
@@ -1910,13 +1912,15 @@ mod tests {
         };
         let arrivals = ArrivalPlan::new(1, 10_000.0).unwrap();
         let graph = Arc::new(fix_the_computer());
-        let (report, store) = run_supervised_cohort_durable(
+        let (report, store) = run_supervised_cohort(
             graph.clone(),
             config(),
             &sup,
             6,
             &|_, _| Box::new(GuidedBot::new()),
             &arrivals,
+            &Obs::noop(),
+            "",
         )
         .unwrap();
         assert!(report.accounts_exactly(), "{report:?}");

@@ -26,7 +26,7 @@ use vgbl_runtime::engine::{GameSession, SessionConfig};
 use vgbl_runtime::fixtures::{fix_the_computer, FRAME};
 use vgbl_runtime::input::InputEvent;
 use vgbl_runtime::{
-    run_chaos, run_cohort, run_fleet, run_playback_cohort, run_supervised_cohort_observed,
+    run_chaos, run_cohort, run_fleet, run_playback_cohort, run_supervised_cohort,
     ArrivalPlan, AutoscaleConfig, ChaosConfig, FleetConfig, FleetWorkload, LadderPolicy, Result,
     RuntimeError, ShardFault, ShardFaultKind, SloLadderConfig, SupervisorConfig,
 };
@@ -130,7 +130,7 @@ fn supervised() -> Vec<u64> {
     let arrivals = ArrivalPlan::new(41, 110.0).unwrap();
     let obs = Obs::recording();
     let report = quiet(|| {
-        run_supervised_cohort_observed(
+        run_supervised_cohort(
             Arc::new(fix_the_computer()),
             config(),
             &sup,
@@ -141,6 +141,7 @@ fn supervised() -> Vec<u64> {
             "supervised",
         )
         .unwrap()
+        .0
     });
     assert!(report.accounts_exactly());
     assert!(report.recovered > 0 && report.gave_up > 0 && report.failed > 0, "{report:?}");
@@ -254,7 +255,6 @@ fn cohorts() -> Vec<u64> {
             Arc::new(fix_the_computer()),
             config(),
             16,
-            2,
             &|i: usize| mixed_bot(i, 0),
             30,
             50,
@@ -262,8 +262,8 @@ fn cohorts() -> Vec<u64> {
         .unwrap()
     });
     let (video, table) = clip(14);
-    let playback =
-        run_playback_cohort(video, &table, Arc::new(GopCache::new(16)), 9, 2, 25).unwrap();
+    let cache = Arc::new(GopCache::new(16));
+    let (playback, _) = run_playback_cohort(video, &table, cache, 9, 2, 25, &Obs::noop()).unwrap();
     vec![fnv(&format!("{bots:?}")), fnv(&format!("{playback:?}"))]
 }
 

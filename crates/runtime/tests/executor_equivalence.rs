@@ -37,8 +37,8 @@ use vgbl_runtime::engine::{GameSession, SessionConfig};
 use vgbl_runtime::fixtures::{fix_the_computer, FRAME};
 use vgbl_runtime::input::InputEvent;
 use vgbl_runtime::{
-    run_cohort, run_cohort_threaded, run_playback_cohort_observed,
-    run_playback_cohort_observed_threaded, PlaybackCohortReport, Result, RuntimeError,
+    run_cohort, run_cohort_threaded, run_playback_cohort, run_playback_cohort_threaded,
+    PlaybackCohortReport, Result, RuntimeError,
 };
 
 /// A bot that panics the moment it is asked for input.
@@ -132,7 +132,7 @@ proptest! {
     ) {
         let (video, table) = clip(shot_len, noise_seed);
         let obs_exec = Obs::recording();
-        let exec = run_playback_cohort_observed(
+        let exec = run_playback_cohort(
             video.clone(),
             &table,
             Arc::new(GopCache::new(64)),
@@ -141,9 +141,10 @@ proptest! {
             steps,
             &obs_exec,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let obs_thr = Obs::recording();
-        let threaded = run_playback_cohort_observed_threaded(
+        let threaded = run_playback_cohort_threaded(
             video,
             &table,
             Arc::new(GopCache::new(64)),
@@ -190,7 +191,6 @@ proptest! {
             Arc::new(fix_the_computer()),
             config.clone(),
             n_sessions,
-            workers,
             &factory,
             max_steps,
             50,

@@ -11,7 +11,10 @@
 //! with capped exponential back-off and deterministic jitter, corrupted
 //! arrivals are detected by the container checksum and re-fetched, and a
 //! chunk whose retry budget runs out is *concealed* (freeze-frame for its
-//! play duration) instead of aborting the session.
+//! play duration) instead of aborting the session. It optionally asks a
+//! caller-owned [`CircuitBreaker`] before each chunk, and records its
+//! counters and session trace into the `&Obs` it is given
+//! ([`Obs::noop`] records nothing).
 
 use std::collections::{HashMap, HashSet};
 
@@ -202,8 +205,8 @@ pub struct FaultyStreamReport {
 }
 
 /// Resolved observability handles plus the session's span recorder,
-/// threaded through the simulation core. The disabled form (what the
-/// unobserved entry points use) costs one `Option`/`bool` check per
+/// threaded through the simulation core. Resolved from [`Obs::noop`]
+/// (what [`simulate`] uses) it costs one `Option`/`bool` check per
 /// event site, keeping the hot path unaffected.
 ///
 /// The counters accumulate in the obs registry *independently* of
@@ -236,10 +239,6 @@ const STREAM_BIN_US: u64 = 250_000;
 const STREAM_BINS: usize = 64;
 
 impl SimObs {
-    fn disabled() -> SimObs {
-        SimObs::new(&Obs::noop(), String::new())
-    }
-
     fn new(obs: &Obs, label: String) -> SimObs {
         let labels: &[(&str, &str)] = &[("pillar", "stream")];
         SimObs {
@@ -390,31 +389,8 @@ pub fn simulate<L: Link + ?Sized>(
     policy: PrefetchPolicy,
     trace: &[TraceStep],
 ) -> Result<StreamStats> {
-    sim_core(map, link, None, None, policy, trace, &mut SimObs::disabled()).map(|r| r.stats)
-}
-
-/// [`simulate`] with observability: fetch events feed `fetch.*`
-/// counters and the `fetch.latency_us` histogram (labelled
-/// `pillar=stream`), and the session exports a trace under `label` with
-/// a `session` root span, one `dwell` span per trace step (arg = the
-/// segment id) and `stall` spans over rebuffer waits — all on the
-/// simulated millisecond clock, never wall time.
-///
-/// # Errors
-/// Propagates unknown segments in the trace (the partial trace recorded
-/// up to the error is still attached, panic-safe-flush style).
-pub fn simulate_observed<L: Link + ?Sized>(
-    map: &ChunkMap,
-    link: &L,
-    policy: PrefetchPolicy,
-    trace: &[TraceStep],
-    obs: &Obs,
-    label: String,
-) -> Result<StreamStats> {
-    let mut sobs = SimObs::new(obs, label);
-    let out = sim_core(map, link, None, None, policy, trace, &mut sobs);
-    obs.attach(sobs.rec);
-    out.map(|r| r.stats)
+    let mut sobs = SimObs::new(&Obs::noop(), String::new());
+    sim_core(map, link, None, None, policy, trace, &mut sobs).map(|r| r.stats)
 }
 
 /// Simulates one session over a faulty link: deadlines, bounded retries
@@ -424,100 +400,42 @@ pub fn simulate_observed<L: Link + ?Sized>(
 /// delivery failures — only on structural problems (unknown segments,
 /// invalid retry policy).
 ///
-/// # Errors
-/// Propagates unknown segments in the trace and invalid [`RetryPolicy`]
-/// parameters.
-pub fn simulate_faulty<L: Link>(
-    map: &ChunkMap,
-    link: &FaultyLink<L>,
-    policy: PrefetchPolicy,
-    retry: &RetryPolicy,
-    trace: &[TraceStep],
-) -> Result<FaultyStreamReport> {
-    retry.validate()?;
-    sim_core(map, link, Some((link.plan(), retry)), None, policy, trace, &mut SimObs::disabled())
-}
-
-/// [`simulate_faulty`] with observability: everything
-/// [`simulate_observed`] records, plus the fault path's `fetch.retries`
-/// / `fetch.timeouts` / `fetch.gave_up` / `conceal.chunks` counters and
-/// `conceal` spans (arg = the abandoned chunk id) in the session trace.
-/// These counters tally the same event sites as
-/// [`FaultyStreamReport::stats`] through an independent accumulation
-/// path, so EXP-13 can cross-check the two exactly.
-///
-/// # Errors
-/// Propagates unknown segments in the trace and invalid [`RetryPolicy`]
-/// parameters.
-pub fn simulate_faulty_observed<L: Link>(
-    map: &ChunkMap,
-    link: &FaultyLink<L>,
-    policy: PrefetchPolicy,
-    retry: &RetryPolicy,
-    trace: &[TraceStep],
-    obs: &Obs,
-    label: String,
-) -> Result<FaultyStreamReport> {
-    retry.validate()?;
-    let mut sobs = SimObs::new(obs, label);
-    let out = sim_core(map, link, Some((link.plan(), retry)), None, policy, trace, &mut sobs);
-    obs.attach(sobs.rec);
-    out
-}
-
-/// [`simulate_faulty`] with a [`CircuitBreaker`] guarding the chunk
-/// path: each chunk request first asks the breaker; while it is open,
-/// chunks are abandoned to concealment immediately (counted in
+/// With a `breaker`, each chunk request first asks it; while it is
+/// open, chunks are abandoned to concealment immediately (counted in
 /// [`StreamStats::fast_failed`]) instead of burning the retry budget.
 /// Per-attempt outcomes (timeouts, corrupt arrivals, deliveries) feed
 /// the breaker, and the caller's breaker carries its state across
 /// sessions — the supervisor shares one per link.
 ///
-/// # Errors
-/// Propagates unknown segments in the trace and invalid [`RetryPolicy`]
-/// parameters.
-pub fn simulate_faulty_with_breaker<L: Link>(
-    map: &ChunkMap,
-    link: &FaultyLink<L>,
-    policy: PrefetchPolicy,
-    retry: &RetryPolicy,
-    breaker: &mut CircuitBreaker,
-    trace: &[TraceStep],
-) -> Result<FaultyStreamReport> {
-    retry.validate()?;
-    sim_core(
-        map,
-        link,
-        Some((link.plan(), retry)),
-        Some(breaker),
-        policy,
-        trace,
-        &mut SimObs::disabled(),
-    )
-}
-
-/// [`simulate_faulty_with_breaker`] with observability (the union of
-/// [`simulate_faulty_observed`]'s recording and the breaker's
-/// `fetch.fast_failed` counter).
+/// Fetch events feed the `fetch.*` / `session.stalls` /
+/// `conceal.chunks` counters and the `fetch.latency_us` histogram of
+/// `obs` (labelled `pillar=stream`), and the session exports a trace
+/// under `label` with a `session` root span, one `dwell` span per trace
+/// step (arg = the segment id), `stall` spans over rebuffer waits and
+/// `conceal` spans (arg = the abandoned chunk id) — all on the
+/// simulated millisecond clock, never wall time. These counters tally
+/// the same event sites as [`FaultyStreamReport::stats`] through an
+/// independent accumulation path, so EXP-13 can cross-check the two
+/// exactly. With [`Obs::noop`] nothing is recorded.
 ///
 /// # Errors
-/// Propagates unknown segments in the trace and invalid [`RetryPolicy`]
-/// parameters.
+/// Propagates unknown segments in the trace (the partial trace recorded
+/// up to one is still attached, panic-safe-flush style) and invalid
+/// [`RetryPolicy`] parameters.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_faulty_with_breaker_observed<L: Link>(
+pub fn simulate_faulty<L: Link>(
     map: &ChunkMap,
     link: &FaultyLink<L>,
     policy: PrefetchPolicy,
     retry: &RetryPolicy,
-    breaker: &mut CircuitBreaker,
+    breaker: Option<&mut CircuitBreaker>,
     trace: &[TraceStep],
     obs: &Obs,
     label: String,
 ) -> Result<FaultyStreamReport> {
     retry.validate()?;
     let mut sobs = SimObs::new(obs, label);
-    let out =
-        sim_core(map, link, Some((link.plan(), retry)), Some(breaker), policy, trace, &mut sobs);
+    let out = sim_core(map, link, Some((link.plan(), retry)), breaker, policy, trace, &mut sobs);
     obs.attach(sobs.rec);
     out
 }
@@ -899,7 +817,10 @@ mod tests {
             &faulty,
             PrefetchPolicy::Linear { lookahead: 2 },
             &RetryPolicy::default(),
+            None,
             &linear_trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         assert_eq!(plain, report.stats);
@@ -917,7 +838,10 @@ mod tests {
             &faulty,
             PrefetchPolicy::None,
             &RetryPolicy::default(),
+            None,
             &linear_trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         assert!(report.stats.timeouts > 0, "{:?}", report.stats);
@@ -939,7 +863,10 @@ mod tests {
             &faulty,
             PrefetchPolicy::None,
             &RetryPolicy::default(),
+            None,
             &linear_trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         // Corrupted arrivals are discarded and re-fetched: more bytes
@@ -960,7 +887,10 @@ mod tests {
             &faulty,
             PrefetchPolicy::None,
             &RetryPolicy::default(),
+            None,
             &linear_trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         assert_eq!(report.stats.play_ms, 0.0);
@@ -988,7 +918,10 @@ mod tests {
                 &FaultyLink::new(link, plan),
                 PrefetchPolicy::BranchAware { per_branch: 1 },
                 &RetryPolicy::default(),
+                None,
                 &branchy_trace(),
+                &Obs::noop(),
+                String::new(),
             )
             .unwrap()
         };
@@ -1009,11 +942,17 @@ mod tests {
             RetryPolicy { max_timeout_ms: 1.0, ..Default::default() },
             RetryPolicy { jitter_ms: -2.0, ..Default::default() },
         ] {
-            assert!(
-                simulate_faulty(&map, &faulty, PrefetchPolicy::None, &bad, &linear_trace())
-                    .is_err(),
-                "{bad:?} accepted"
+            let out = simulate_faulty(
+                &map,
+                &faulty,
+                PrefetchPolicy::None,
+                &bad,
+                None,
+                &linear_trace(),
+                &Obs::noop(),
+                String::new(),
             );
+            assert!(out.is_err(), "{bad:?} accepted");
         }
     }
 
@@ -1093,7 +1032,10 @@ mod tests {
             &faulty,
             PrefetchPolicy::None,
             &retry,
+            None,
             &linear_trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         let mut breaker = CircuitBreaker::new(BreakerConfig {
@@ -1104,13 +1046,15 @@ mod tests {
             probes: 1,
         })
         .unwrap();
-        let with = simulate_faulty_with_breaker(
+        let with = simulate_faulty(
             &map,
             &faulty,
             PrefetchPolicy::None,
             &retry,
-            &mut breaker,
+            Some(&mut breaker),
             &linear_trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         assert!(breaker.trips() >= 1, "a 95%-loss link must trip the breaker");
@@ -1132,17 +1076,27 @@ mod tests {
         let link = LinkModel::mbps(1.5, 25.0).unwrap();
         let faulty = FaultyLink::new(link, FaultPlan::new(1));
         let retry = RetryPolicy::default();
-        let plain =
-            simulate_faulty(&map, &faulty, PrefetchPolicy::Linear { lookahead: 2 }, &retry, &linear_trace())
-                .unwrap();
-        let mut breaker = CircuitBreaker::new(BreakerConfig::default()).unwrap();
-        let guarded = simulate_faulty_with_breaker(
+        let plain = simulate_faulty(
             &map,
             &faulty,
             PrefetchPolicy::Linear { lookahead: 2 },
             &retry,
-            &mut breaker,
+            None,
             &linear_trace(),
+            &Obs::noop(),
+            String::new(),
+        )
+        .unwrap();
+        let mut breaker = CircuitBreaker::new(BreakerConfig::default()).unwrap();
+        let guarded = simulate_faulty(
+            &map,
+            &faulty,
+            PrefetchPolicy::Linear { lookahead: 2 },
+            &retry,
+            Some(&mut breaker),
+            &linear_trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         assert_eq!(plain, guarded);
@@ -1164,13 +1118,15 @@ mod tests {
                 probes: 1,
             })
             .unwrap();
-            let report = simulate_faulty_with_breaker(
+            let report = simulate_faulty(
                 &map,
                 &faulty,
                 PrefetchPolicy::None,
                 &RetryPolicy::default(),
-                &mut breaker,
+                Some(&mut breaker),
                 &linear_trace(),
+                &Obs::noop(),
+                String::new(),
             )
             .unwrap();
             (report, breaker.stats())
@@ -1192,12 +1148,12 @@ mod tests {
         })
         .unwrap();
         let obs = Obs::recording();
-        let report = simulate_faulty_with_breaker_observed(
+        let report = simulate_faulty(
             &map,
             &faulty,
             PrefetchPolicy::None,
             &RetryPolicy::default(),
-            &mut breaker,
+            Some(&mut breaker),
             &linear_trace(),
             &obs,
             "stream-0000".into(),
@@ -1220,15 +1176,19 @@ mod tests {
             &FaultyLink::new(link, plan),
             PrefetchPolicy::Linear { lookahead: 1 },
             &RetryPolicy::default(),
+            None,
             &linear_trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         let obs = Obs::recording();
-        let observed = simulate_faulty_observed(
+        let observed = simulate_faulty(
             &map,
             &FaultyLink::new(link, plan),
             PrefetchPolicy::Linear { lookahead: 1 },
             &RetryPolicy::default(),
+            None,
             &linear_trace(),
             &obs,
             "stream-0000".into(),
@@ -1269,11 +1229,12 @@ mod tests {
         let run = || {
             let obs = Obs::recording();
             let plan = FaultPlan::new(7).with_loss(0.3).unwrap();
-            simulate_faulty_observed(
+            simulate_faulty(
                 &map,
                 &FaultyLink::new(link, plan),
                 PrefetchPolicy::None,
                 &RetryPolicy::default(),
+                None,
                 &linear_trace(),
                 &obs,
                 "stream-0000".into(),

@@ -43,9 +43,7 @@ pub use batch::{BatchPlan, BatchPlanner, ChunkPlanner, PlannerStats};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use chunk::{ChunkId, ChunkMap};
 pub use client::{
-    simulate, simulate_faulty, simulate_faulty_observed, simulate_faulty_with_breaker,
-    simulate_faulty_with_breaker_observed, simulate_observed, FaultyStreamReport, RetryPolicy,
-    StreamStats, TraceStep,
+    simulate, simulate_faulty, FaultyStreamReport, RetryPolicy, StreamStats, TraceStep,
 };
 pub use fault::{ChunkFault, FaultPlan, FaultyLink, LoadSpike};
 pub use link::{Link, LinkModel, VariableLink};

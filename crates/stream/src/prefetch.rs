@@ -141,6 +141,7 @@ mod tests {
     use vgbl_media::synth::{FootageSpec, ShotSpec};
     use vgbl_media::timeline::FrameRate;
     use vgbl_media::SegmentTable;
+    use vgbl_obs::Obs;
 
     fn video_and_map() -> (EncodedVideo, ChunkMap) {
         let footage = FootageSpec {
@@ -241,7 +242,8 @@ mod tests {
         // The seek into either branch target now decodes nothing.
         for target in [20usize, 30] {
             let (frame, stats) =
-                vgbl_media::seek::seek_cached(&dec, &video, id, &cache, target).unwrap();
+                vgbl_media::seek::seek_cached(&dec, &video, id, &cache, target, &Obs::noop())
+                    .unwrap();
             assert_eq!(stats.frames_decoded, 0, "target {target} warmed");
             let (direct, _) = vgbl_media::seek::seek(&dec, &video, target).unwrap();
             assert_eq!(frame, direct);

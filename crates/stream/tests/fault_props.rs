@@ -12,6 +12,7 @@ use vgbl_media::color::Rgb;
 use vgbl_media::synth::{FootageSpec, ShotSpec, SpriteShape, SpriteSpec};
 use vgbl_media::timeline::FrameRate;
 use vgbl_media::{Frame, SegmentId, SegmentTable};
+use vgbl_obs::Obs;
 use vgbl_stream::{
     simulate, simulate_faulty, ChunkMap, FaultPlan, FaultyLink, LinkModel, PrefetchPolicy,
     RetryPolicy, TraceStep,
@@ -114,7 +115,10 @@ proptest! {
                 &link,
                 PrefetchPolicy::BranchAware { per_branch: 1 },
                 &retry,
+                None,
                 &trace(),
+                &Obs::noop(),
+                String::new(),
             )
             .expect("fault simulation terminates with Ok")
         };
@@ -183,7 +187,10 @@ proptest! {
             &FaultyLink::new(link, FaultPlan::new(seed)),
             PrefetchPolicy::Linear { lookahead: 2 },
             &RetryPolicy::default(),
+            None,
             &trace(),
+            &Obs::noop(),
+            String::new(),
         )
         .unwrap();
         prop_assert_eq!(plain, report.stats);

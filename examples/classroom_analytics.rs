@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vgbl::obs::Obs;
 use vgbl::runtime::bot::{Bot, GuidedBot, RandomBot};
 use vgbl::runtime::fixtures::{fix_the_computer, FRAME};
 use vgbl::runtime::server::run_cohort;
@@ -34,9 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }),
         ),
     ] {
-        let report = run_cohort(graph.clone(), config.clone(), 40, 4, &*factory, 120, 50)?;
+        let report = run_cohort(graph.clone(), config.clone(), 40, &*factory, 120, 50)?;
         let l = &report.learning;
-        println!("cohort: {label} ({} sessions, 4 worker threads)", report.sessions);
+        println!("cohort: {label} ({} sessions)", report.sessions);
         println!("  completion    : {:>5.1}%", l.completion_rate() * 100.0);
         println!("  avg decisions : {:>5.1}", l.avg_decisions);
         println!("  avg knowledge : {:>5.1} events", l.avg_knowledge);
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The instructor's attention heatmap: which props does a diligent
     // student actually investigate, and for how long per scenario?
     let mut bot = vgbl::runtime::ExplorerBot::new();
-    let run = vgbl::runtime::bot::run_session(graph, config, &mut bot, 200, 50)?;
+    let run = vgbl::runtime::bot::run_session(graph, config, &mut bot, 200, 50, &Obs::noop(), "")?;
     println!("attention heatmap (one explorer session):");
     for ((scenario, object), count) in run.log.examinations_per_object() {
         println!("  {scenario:<12} {object:<12} {}", "#".repeat(count));

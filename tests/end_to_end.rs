@@ -104,11 +104,14 @@ fn decoded_playback_matches_authored_footage() {
 
 #[test]
 fn guided_cohort_completes_on_published_game() {
+    use vgbl::obs::Obs;
     use vgbl::runtime::bot::{GuidedBot, run_session};
     let (project, _) = vgbl::sample::fix_the_computer_project(2).unwrap();
     let game = vgbl::publish::publish(project).unwrap();
     let mut bot = GuidedBot::new();
-    let run = run_session(game.graph.clone(), game.session_config(), &mut bot, 100, 100).unwrap();
+    let config = game.session_config();
+    let run =
+        run_session(game.graph.clone(), config, &mut bot, 100, 100, &Obs::noop(), "").unwrap();
     assert_eq!(run.state.ended.as_deref(), Some("fixed"));
     assert!(run.log.knowledge_events() >= 2);
 }
@@ -163,6 +166,7 @@ fn quiz_template_full_pipeline_with_footage() {
 
 #[test]
 fn guided_bot_solves_the_escape_room_chain() {
+    use vgbl::obs::Obs;
     use vgbl::runtime::bot::{run_session, GuidedBot};
     use vgbl::runtime::SessionConfig;
     use std::sync::Arc;
@@ -177,6 +181,8 @@ fn guided_bot_solves_the_escape_room_chain() {
         &mut bot,
         200,
         50,
+        &Obs::noop(),
+        "",
     )
     .unwrap();
     assert_eq!(run.state.ended.as_deref(), Some("escaped"), "log: {:?}", run.log.events());
@@ -190,6 +196,7 @@ fn guided_bot_solves_the_escape_room_chain() {
 
 #[test]
 fn explorer_bot_also_escapes() {
+    use vgbl::obs::Obs;
     use vgbl::runtime::bot::{run_session, ExplorerBot};
     use vgbl::runtime::SessionConfig;
     use std::sync::Arc;
@@ -203,6 +210,8 @@ fn explorer_bot_also_escapes() {
         &mut bot,
         250,
         50,
+        &Obs::noop(),
+        "",
     )
     .unwrap();
     assert_eq!(run.state.ended.as_deref(), Some("escaped"), "log: {:?}", run.log.events());
