@@ -7,8 +7,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod perf;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

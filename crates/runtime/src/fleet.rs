@@ -49,10 +49,10 @@ use crate::engine::{GameSession, SessionConfig};
 use crate::error::RuntimeError;
 use crate::executor::EventQueue;
 use crate::save::SaveGame;
-use crate::server::{panic_reason, SessionOutcome};
+use crate::server::{outcome_counts, panic_reason, SessionOutcome};
 use crate::supervisor::{
-    persist_checkpoint, restart_backoff, resume_session, warm_session, ArrivalPlan, LadderPolicy,
-    ServiceMode, SupSlo, SupervisedBotFactory, SupervisorConfig,
+    persist_checkpoint, restart_backoff, resume_session, warm_session, ArrivalPlan, ServiceMode,
+    SupSlo, SupervisedBotFactory, SupervisorConfig,
 };
 use crate::Result;
 use vgbl_store::{CheckpointRecord, CorruptKind, DurableStore, ScrubReport, StoreConfig, StoreStats};
@@ -629,17 +629,7 @@ impl FleetReport {
     /// `(completed, failed, shed, recovered, gave_up)` tallied from
     /// `outcomes` — the ground truth the counter fields must match.
     pub fn outcome_counts(&self) -> (usize, usize, usize, usize, usize) {
-        let mut c = (0usize, 0usize, 0usize, 0usize, 0usize);
-        for o in &self.outcomes {
-            match o {
-                SessionOutcome::Completed => c.0 += 1,
-                SessionOutcome::Failed { .. } => c.1 += 1,
-                SessionOutcome::Shed { .. } => c.2 += 1,
-                SessionOutcome::Recovered { .. } => c.3 += 1,
-                SessionOutcome::GaveUp { .. } => c.4 += 1,
-            }
-        }
-        c
+        outcome_counts(&self.outcomes)
     }
 
     pub(crate) fn debug_assert_consistent(&self) {
@@ -1046,8 +1036,7 @@ pub(crate) fn advance_segment(
     r: &mut Running,
 ) -> (f64, SegEnd) {
     let every = cfg.checkpoint_every;
-    let step_cost =
-        if r.mode == ServiceMode::ConcealOnly { cfg.step_ms * 0.5 } else { cfg.step_ms };
+    let step_cost = r.mode.step_cost(cfg.step_ms);
     match workload {
         FleetWorkload::Synthetic { .. } => {
             r.synth_done += 1;
@@ -1309,13 +1298,7 @@ impl FleetSim<'_> {
             if s.queue.len() >= cfg.shard.queue_capacity {
                 None
             } else {
-                Some(match &cfg.shard.ladder {
-                    LadderPolicy::Occupancy => {
-                        let occ = (s.queue.len() + 1) as f64 / cfg.shard.queue_capacity as f64;
-                        ServiceMode::for_occupancy(occ, &cfg.shard)
-                    }
-                    LadderPolicy::SloDriven(_) => s.slo.mode_for_burn(now),
-                })
+                Some(s.slo.admission_mode(&cfg.shard, s.queue.len(), now))
             }
         };
         let Some(mode) = verdict else {
@@ -1469,7 +1452,20 @@ impl FleetSim<'_> {
     fn start_segment(&mut self, i: usize, slot_idx: usize, mut r: Running, t: f64) {
         let cfg = self.cfg;
         let wl = self.workload;
+        let (gen_before, restarts_before) = (r.generation, r.restarts);
         let (elapsed, end) = advance_segment(&cfg.shard, wl, &mut r);
+        // Every in-segment restart bumped the generation. The last one
+        // is carried by the segment's boundary or terminal event; the
+        // ones before it died unseen, so each gets a `Recovered` event
+        // or the next generation's parent span would be missing.
+        for g in gen_before + 1..r.generation {
+            let kind = JourneyEventKind::Recovered {
+                resumed_at_step: r.resumed_at_step as u64,
+                restarts: restarts_before + (g - gen_before),
+            };
+            let sid = self.shards[i].id;
+            self.journey_event(Some(sid), t, r.id, g, kind);
+        }
         let due = t + elapsed;
         let (sid, token) = {
             let s = &mut self.shards[i];
@@ -2299,7 +2295,7 @@ mod tests {
     use crate::bot::{Bot, GuidedBot};
     use crate::fixtures::{fix_the_computer, FRAME};
     use crate::input::InputEvent;
-    use crate::supervisor::SloLadderConfig;
+    use crate::supervisor::{LadderPolicy, SloLadderConfig};
     use vgbl_stream::LoadSpike;
 
     fn config() -> SessionConfig {
@@ -2873,6 +2869,47 @@ mod tests {
             .outcomes
             .iter()
             .all(|o| matches!(o, SessionOutcome::Recovered { resumed_at_step: 5, restarts: 1 })));
+    }
+
+    #[test]
+    fn repeated_panics_inside_one_segment_keep_the_journey_chain() {
+        struct AlwaysPanics;
+        impl Bot for AlwaysPanics {
+            fn next_input(&mut self, _: &GameSession) -> Result<Option<InputEvent>> {
+                panic!("injected permanent crash");
+            }
+        }
+        let cfg = FleetConfig { journeys: true, ..FleetConfig::default() };
+        assert_eq!(cfg.shard.restart_budget, 2, "the default budget allows two restarts");
+        let factory = |_: usize, _: u32| -> Box<dyn Bot> { Box::new(AlwaysPanics) };
+        let workload = FleetWorkload::Engine {
+            graph: Arc::new(fix_the_computer()),
+            config: config(),
+            factory: &factory,
+        };
+        let arrivals = ArrivalPlan::new(5, 100.0).unwrap();
+        let report = quiet(|| run_fleet(&workload, &cfg, 1, &arrivals).unwrap());
+        assert!(
+            matches!(report.outcomes[0], SessionOutcome::GaveUp { restarts: 2, .. }),
+            "{:?}",
+            report.outcomes
+        );
+        let j = &report.journeys[0];
+        assert!(j.chain_ok(), "two restarts in one segment broke the chain: {j:?}");
+        let spans: std::collections::BTreeSet<u64> =
+            j.events.iter().map(|e| e.ctx.span_id).collect();
+        assert_eq!(spans.len(), 3, "generations 0, 1 and 2 each carry an event: {j:?}");
+        let recovered: Vec<_> = j
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                JourneyEventKind::Recovered { resumed_at_step, restarts } => {
+                    Some((resumed_at_step, restarts))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(recovered, [(0, 1)], "only the generation that left no event is recovered");
     }
 
     #[test]

@@ -105,6 +105,22 @@ impl SessionOutcome {
     }
 }
 
+/// `(completed, failed, shed, recovered, gave_up)` tallied from
+/// `outcomes` — the ground truth a report's scalar counters must match.
+pub(crate) fn outcome_counts(outcomes: &[SessionOutcome]) -> (usize, usize, usize, usize, usize) {
+    let mut c = (0usize, 0usize, 0usize, 0usize, 0usize);
+    for o in outcomes {
+        match o {
+            SessionOutcome::Completed => c.0 += 1,
+            SessionOutcome::Failed { .. } => c.1 += 1,
+            SessionOutcome::Shed { .. } => c.2 += 1,
+            SessionOutcome::Recovered { .. } => c.3 += 1,
+            SessionOutcome::GaveUp { .. } => c.4 += 1,
+        }
+    }
+    c
+}
+
 /// Turns a caught panic payload into a reportable reason string.
 pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -76,7 +76,7 @@ use crate::fleet::{
     advance_segment, checkpoint_record, make_commit, FleetWorkload, Running, SegEnd,
 };
 use crate::save::SaveGame;
-use crate::server::SessionOutcome;
+use crate::server::{outcome_counts, SessionOutcome};
 use crate::Result;
 
 /// Event-type salts keeping the arrival and warm-jitter streams of one
@@ -165,16 +165,13 @@ pub enum ServiceMode {
 }
 
 impl ServiceMode {
-    /// The mode for queue occupancy `occ` (a fraction of capacity,
-    /// counting the arriving session itself). Shared with the fleet's
-    /// per-shard admission ladder.
-    pub(crate) fn for_occupancy(occ: f64, cfg: &SupervisorConfig) -> ServiceMode {
-        if occ >= cfg.conceal_at {
-            ServiceMode::ConcealOnly
-        } else if occ >= cfg.degrade_at {
-            ServiceMode::SkipWarm
+    /// Simulated service cost of one decision step in this mode:
+    /// concealment serves at half of `step_ms`.
+    pub(crate) fn step_cost(self, step_ms: f64) -> f64 {
+        if self == ServiceMode::ConcealOnly {
+            step_ms * 0.5
         } else {
-            ServiceMode::Full
+            step_ms
         }
     }
 }
@@ -502,17 +499,7 @@ impl SupervisorReport {
     /// recovered, gave_up)`. Fleet aggregation sums these across shards,
     /// so they must mirror the scalar counters exactly.
     pub fn outcome_counts(&self) -> (usize, usize, usize, usize, usize) {
-        let mut c = (0usize, 0usize, 0usize, 0usize, 0usize);
-        for o in &self.outcomes {
-            match o {
-                SessionOutcome::Completed => c.0 += 1,
-                SessionOutcome::Failed { .. } => c.1 += 1,
-                SessionOutcome::Shed { .. } => c.2 += 1,
-                SessionOutcome::Recovered { .. } => c.3 += 1,
-                SessionOutcome::GaveUp { .. } => c.4 += 1,
-            }
-        }
-        c
+        outcome_counts(&self.outcomes)
     }
 
     /// Debug-build consistency check, asserted at report construction so
@@ -799,12 +786,29 @@ impl SupSlo {
         burn
     }
 
-    /// The SLO-driven ladder: mode from the worst current burn rate.
-    pub(crate) fn mode_for_burn(&self, t_ms: f64) -> ServiceMode {
-        let burn = self.worst_burn(t_ms);
-        if burn >= self.cfg.conceal_burn {
+    /// The admission ladder shared by the supervisor and every fleet
+    /// shard: the mode for a session arriving at `t_ms` behind `queued`
+    /// others. [`LadderPolicy::Occupancy`] thresholds queue occupancy
+    /// (counting the arrival itself) against `cfg.degrade_at` /
+    /// `cfg.conceal_at`; [`LadderPolicy::SloDriven`] thresholds the
+    /// worst current burn rate.
+    pub(crate) fn admission_mode(
+        &self,
+        cfg: &SupervisorConfig,
+        queued: usize,
+        t_ms: f64,
+    ) -> ServiceMode {
+        let (level, degrade, conceal) = match &cfg.ladder {
+            LadderPolicy::Occupancy => {
+                ((queued + 1) as f64 / cfg.queue_capacity as f64, cfg.degrade_at, cfg.conceal_at)
+            }
+            LadderPolicy::SloDriven(_) => {
+                (self.worst_burn(t_ms), self.cfg.degrade_burn, self.cfg.conceal_burn)
+            }
+        };
+        if level >= conceal {
             ServiceMode::ConcealOnly
-        } else if burn >= self.cfg.degrade_burn {
+        } else if level >= degrade {
             ServiceMode::SkipWarm
         } else {
             ServiceMode::Full
@@ -923,11 +927,7 @@ impl Sim<'_> {
             self.o.degraded.inc();
         }
         let (r, end, resumed_from) = self.play(q.idx, q.mode);
-        let step_cost = if q.mode == ServiceMode::ConcealOnly {
-            self.sup.step_ms * 0.5
-        } else {
-            self.sup.step_ms
-        };
+        let step_cost = q.mode.step_cost(self.sup.step_ms);
         // A finished session is charged each step it reached once;
         // work redone after a restart is not charged again.
         let outcome = match end {
@@ -1119,13 +1119,7 @@ pub fn run_supervised_cohort(
             sim.rec.event("shed", i as u64, us_from_ms(t));
             continue;
         }
-        let mode = match &sup.ladder {
-            LadderPolicy::Occupancy => {
-                let occ = (sim.queue.len() + 1) as f64 / sup.queue_capacity as f64;
-                ServiceMode::for_occupancy(occ, sup)
-            }
-            LadderPolicy::SloDriven(_) => sim.slo.mode_for_burn(t),
-        };
+        let mode = sim.slo.admission_mode(sup, sim.queue.len(), t);
         sim.queue.push_back(Queued { idx: i, arrival_ms: t, mode });
         sim.peak_depth = sim.peak_depth.max(sim.queue.len());
     }

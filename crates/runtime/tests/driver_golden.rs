@@ -162,8 +162,9 @@ fn fleet_engine() -> Vec<u64> {
             max_steps: 30,
             checkpoint_every: 5,
             // One restart: the hopeless crasher gives up on its second
-            // panic. The fleet records no journey event for an in-segment
-            // restart, so a second consecutive one would break the chain.
+            // panic. The digests below were pinned with this budget, so
+            // it stays even though deeper restart chains are now covered
+            // by the fleet's own journey tests.
             restart_budget: 1,
             ..SupervisorConfig::default()
         },
