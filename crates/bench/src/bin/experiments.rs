@@ -7,6 +7,9 @@
 //! cargo run --release -p vgbl-bench --bin experiments -- exp3   # one
 //! ```
 //!
+//! Names are `fig1`, `fig2` and `exp1`..`exp20` (EXP-16 has no runner);
+//! an unknown name prints the known ones and exits with status 2.
+//!
 //! Wall-clock numbers vary with the host; the *shapes* (who wins, where
 //! the crossovers sit) are the reproduction targets recorded in
 //! `EXPERIMENTS.md`.
@@ -1383,7 +1386,6 @@ fn exp17() {
             burn_threshold: 1e12,
             sustain_ticks: 10,
             max_drain_occupancy: f64::INFINITY,
-            verify_replay: true,
         },
         faults: vec![
             ShardFault { at_ms: 50.0, shard: 2, kind: ShardFaultKind::DegradedLink { loss: 0.9 } },
@@ -1458,7 +1460,6 @@ fn exp17() {
             burn_threshold: 1e12,
             sustain_ticks: 10,
             max_drain_occupancy: f64::INFINITY,
-            verify_replay: true,
         },
         faults: vec![ShardFault { at_ms: 400.0, shard: 2, kind: ShardFaultKind::Crash }],
         ..FleetConfig::default()
@@ -1611,9 +1612,8 @@ fn exp18() {
     // Part 2: scheduling is invisible. A small observed cohort run on
     // the executor and on the thread-per-session reference path agrees
     // byte for byte — outcome rows and all four obs export formats,
-    // once the executor's own scheduling telemetry (`executor.*` run
-    // queue and fetch-batch rows, which a thread-per-session path
-    // cannot have) is projected out.
+    // compared whole: the executor reports its scheduling only through
+    // `ExecutorStats`, never into the registry.
     let obs_exec = Obs::recording();
     let exec = run_playback_cohort(
         video.clone(),
@@ -1647,20 +1647,16 @@ fn exp18() {
         (threaded.frames_served, threaded.switches, threaded.frames_decoded),
         "same serving and decode totals on both schedulers"
     );
-    let strip = |export: String| -> String {
-        export.lines().filter(|l| !l.contains("executor.")).map(|l| format!("{l}\n")).collect()
-    };
     let se = obs_exec.snapshot();
     let st = obs_thr.snapshot();
-    assert_eq!(strip(se.to_table()), strip(st.to_table()));
-    assert_eq!(strip(se.metrics_csv()), strip(st.metrics_csv()));
-    assert_eq!(strip(se.spans_csv()), strip(st.spans_csv()));
-    assert_eq!(strip(se.to_jsonl()), strip(st.to_jsonl()));
+    assert_eq!(se.to_table(), st.to_table());
+    assert_eq!(se.metrics_csv(), st.metrics_csv());
+    assert_eq!(se.spans_csv(), st.spans_csv());
+    assert_eq!(se.to_jsonl(), st.to_jsonl());
     println!(
         "\n64-session observed cohort, executor vs thread-per-session reference:\n\
          outcome rows, serving totals and all four obs exports byte-identical\n\
-         (executor.* scheduling rows aside) — the executor changes who\n\
-         schedules, never what the sessions see."
+         — the executor changes who schedules, never what the sessions see."
     );
 }
 
@@ -1702,7 +1698,6 @@ fn exp19() {
             burn_threshold: 1e12,
             sustain_ticks: 10,
             max_drain_occupancy: f64::INFINITY,
-            verify_replay: true,
         },
         store: Some(store),
         power_loss_at_ms: losses,
@@ -2004,71 +1999,44 @@ impl Bot for CrashAfter {
     }
 }
 
+/// Every figure and experiment, in the order a full run prints them.
+/// EXP-16 (the retired snapshot tool's trajectory) has no runner.
+const EXPERIMENTS: &[(&str, fn())] = &[
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("exp1", exp1),
+    ("exp2", exp2),
+    ("exp3", exp3),
+    ("exp4", exp4),
+    ("exp5", exp5),
+    ("exp6", exp6),
+    ("exp7", exp7),
+    ("exp8", exp8),
+    ("exp9", exp9),
+    ("exp10", exp10),
+    ("exp11", exp11),
+    ("exp12", exp12),
+    ("exp13", exp13),
+    ("exp14", exp14),
+    ("exp15", exp15),
+    ("exp17", exp17),
+    ("exp18", exp18),
+    ("exp19", exp19),
+    ("exp20", exp20),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
-
-    if want("fig1") {
-        fig1();
+    let known = |a: &String| a == "all" || EXPERIMENTS.iter().any(|(name, _)| a == name);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown experiment `{bad}`; known: all {}", names.join(" "));
+        std::process::exit(2);
     }
-    if want("fig2") {
-        fig2();
-    }
-    if want("exp1") {
-        exp1();
-    }
-    if want("exp2") {
-        exp2();
-    }
-    if want("exp3") {
-        exp3();
-    }
-    if want("exp4") {
-        exp4();
-    }
-    if want("exp5") {
-        exp5();
-    }
-    if want("exp6") {
-        exp6();
-    }
-    if want("exp7") {
-        exp7();
-    }
-    if want("exp8") {
-        exp8();
-    }
-    if want("exp9") {
-        exp9();
-    }
-    if want("exp10") {
-        exp10();
-    }
-    if want("exp11") {
-        exp11();
-    }
-    if want("exp12") {
-        exp12();
-    }
-    if want("exp13") {
-        exp13();
-    }
-    if want("exp14") {
-        exp14();
-    }
-    if want("exp15") {
-        exp15();
-    }
-    if want("exp17") {
-        exp17();
-    }
-    if want("exp18") {
-        exp18();
-    }
-    if want("exp19") {
-        exp19();
-    }
-    if want("exp20") {
-        exp20();
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    for (name, run) in EXPERIMENTS {
+        if all || args.iter().any(|a| a == name) {
+            run();
+        }
     }
 }

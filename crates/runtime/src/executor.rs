@@ -41,7 +41,6 @@ use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use vgbl_obs::hash::splitmix64;
-use vgbl_obs::{Obs, SeriesSpec};
 use vgbl_stream::{BatchPlan, BatchPlanner};
 
 use crate::server::panic_reason;
@@ -269,42 +268,14 @@ fn shuffle_queue(queue: &mut [usize], seed: u64, tick: u64) {
 /// [`BatchPlan`] handed to `fetch_batch` (which typically prewarms a
 /// shared cache through `parallel_map_indexed`), then resume within the
 /// tick. Tasks that yielded [`Step::Pending`] sleep until the next
-/// tick. Panics retire the offending task only.
-pub fn run_tasks<S, R, F>(tasks: Vec<S>, seed: u64, fetch_batch: F) -> CohortRun<R>
+/// tick. Panics retire the offending task only. The executor reports
+/// through the returned [`ExecutorStats`] alone; the tasks carry their
+/// own observability.
+pub fn run_tasks<S, R, F>(mut tasks: Vec<S>, seed: u64, mut fetch_batch: F) -> CohortRun<R>
 where
     S: SessionTask<Output = R>,
     F: FnMut(&BatchPlan<S::Fetch>),
 {
-    run_tasks_observed(tasks, seed, fetch_batch, &Obs::noop())
-}
-
-/// One simulated tick of executor time, in microseconds, for the
-/// per-tick series. The executor has no external clock; its tick index
-/// *is* the clock, scaled so series bins line up with the registry's
-/// microsecond convention.
-const TICK_US: u64 = 1_000;
-
-/// [`run_tasks`] with executor observability: an
-/// `executor.run_queue_depth` high-water gauge, an
-/// `executor.fetch_batch_size` histogram (one sample per coalesced
-/// batch round), and an `executor.polled_tasks` per-tick series on the
-/// tick clock. A noop `obs` makes every tap a single branch — this is
-/// exactly what [`run_tasks`] passes, so the unobserved hot path is
-/// unchanged.
-pub fn run_tasks_observed<S, R, F>(
-    mut tasks: Vec<S>,
-    seed: u64,
-    mut fetch_batch: F,
-    obs: &Obs,
-) -> CohortRun<R>
-where
-    S: SessionTask<Output = R>,
-    F: FnMut(&BatchPlan<S::Fetch>),
-{
-    let l: &[(&'static str, &'static str)] = &[("pillar", "runtime")];
-    let queue_depth = obs.gauge("executor.run_queue_depth", l);
-    let batch_size = obs.histogram("executor.fetch_batch_size", l);
-    let polled = obs.series(SeriesSpec::counter("executor.polled_tasks", TICK_US, 4096));
     let n = tasks.len();
     let mut rows: Vec<Option<std::result::Result<R, String>>> = (0..n).map(|_| None).collect();
     let mut stats = ExecutorStats::default();
@@ -314,8 +285,6 @@ where
     while !live.is_empty() {
         stats.ticks += 1;
         stats.peak_in_flight = stats.peak_in_flight.max(live.len());
-        queue_depth.observe(live.len() as u64);
-        let polls_before = stats.polls;
         shuffle_queue(&mut live, seed, tick);
         let mut runnable = std::mem::take(&mut live);
         let mut next: Vec<usize> = Vec::new();
@@ -348,11 +317,9 @@ where
             let plan = planner.take_plan();
             stats.batches += 1;
             stats.batched_keys += plan.len() as u64;
-            batch_size.record(plan.len() as u64);
             fetch_batch(&plan);
             runnable = fetchers;
         }
-        polled.record(tick * TICK_US, stats.polls - polls_before);
         // Canonical order between ticks; the next tick re-shuffles.
         next.sort_unstable();
         live = next;
@@ -509,37 +476,6 @@ mod tests {
                 assert!(row.is_ok(), "task {i} unaffected");
             }
         }
-    }
-
-    #[test]
-    fn executor_observed_taps_mirror_stats() {
-        let obs = Obs::recording();
-        let tasks: Vec<CountTask> = (1..=6).map(|i| counting(i, Some(i % 2))).collect();
-        let polled = obs.series(SeriesSpec::counter("executor.polled_tasks", TICK_US, 4096));
-        let run = run_tasks_observed(tasks, 5, |_plan: &BatchPlan<u32>| {}, &obs);
-        let snap = obs.snapshot();
-        assert_eq!(
-            snap.gauge_max("executor.run_queue_depth"),
-            run.stats.peak_in_flight as u64,
-            "gauge high-water is the peak run-queue depth"
-        );
-        let h = snap.histogram("executor.fetch_batch_size").expect("batch histogram recorded");
-        assert_eq!(h.count, run.stats.batches, "one batch-size sample per fetch round");
-        assert_eq!(h.sum, run.stats.batched_keys, "batch sizes sum to the batched keys");
-        assert_eq!(
-            polled.totals().sum,
-            run.stats.polls,
-            "per-tick polled series sums to the poll counter"
-        );
-
-        // The unobserved path is byte-identical: same rows, same stats.
-        let tasks: Vec<CountTask> = (1..=6).map(|i| counting(i, Some(i % 2))).collect();
-        let plain = run_tasks(tasks, 5, |_plan: &BatchPlan<u32>| {});
-        let rows = |r: &CohortRun<u32>| -> Vec<Option<std::result::Result<u32, String>>> {
-            r.rows.clone()
-        };
-        assert_eq!(rows(&plain), rows(&run));
-        assert_eq!(plain.stats, run.stats);
     }
 
     #[test]

@@ -37,8 +37,8 @@ use std::sync::Arc;
 
 use vgbl_obs::hash::mix;
 use vgbl_obs::{
-    us_from_ms, AlertTimeline, BudgetLedger, Counter, Gauge, Histogram, JourneyEventKind,
-    JourneyRecorder, Obs, SessionJourney, SpanRecorder, TerminalState, TraceCtx,
+    us_from_ms, AlertTimeline, BudgetLedger, JourneyEventKind, JourneyRecorder, Obs,
+    SessionJourney, TerminalState, TraceCtx,
 };
 use vgbl_scene::SceneGraph;
 use vgbl_stream::{BreakerStats, CircuitBreaker, FaultPlan};
@@ -195,8 +195,9 @@ pub struct ShardFault {
     pub kind: ShardFaultKind,
 }
 
-/// When the controller drains a burning shard, and how migrations are
-/// checked.
+/// When the controller drains a burning shard. Every engine migration
+/// is shadow-replayed from its checkpoint and checked against what the
+/// destination shard actually produced ([`MigrationRecord::verified`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationConfig {
     /// Drain a shard once its worst burn rate holds at or above this.
@@ -212,20 +213,11 @@ pub struct MigrationConfig {
     /// A drain helps exactly when the others have headroom to absorb
     /// it. `f64::INFINITY` disables the guard (the legacy policy).
     pub max_drain_occupancy: f64,
-    /// Shadow-replay each migrated session from its checkpoint and
-    /// compare the predicted log tail against what the destination
-    /// shard actually produced ([`MigrationRecord::verified`]).
-    pub verify_replay: bool,
 }
 
 impl Default for MigrationConfig {
     fn default() -> MigrationConfig {
-        MigrationConfig {
-            burn_threshold: 4.0,
-            sustain_ticks: 2,
-            max_drain_occupancy: 0.75,
-            verify_replay: true,
-        }
+        MigrationConfig { burn_threshold: 4.0, sustain_ticks: 2, max_drain_occupancy: 0.75 }
     }
 }
 
@@ -451,8 +443,10 @@ pub struct MigrationRecord {
     /// session was shed before the destination could restore it).
     pub handoff_ok: Option<bool>,
     /// `Some(eq)` when a shadow replay's predicted log tail was compared
-    /// against the destination's actual tail; `None` when verification
-    /// was off, superseded by a later restart/hop, or not applicable.
+    /// against the destination's actual tail; `None` when a later
+    /// restart or hop superseded the prediction, the session did not
+    /// finish cleanly, or there was nothing to replay (synthetic
+    /// workloads, a session shed before the destination restored it).
     pub verified: Option<bool>,
     /// The session's causal trace id, carried through the handoff.
     pub trace_id: u64,
@@ -918,18 +912,13 @@ struct Shard {
 
 impl Shard {
     fn new(id: u32, cfg: &FleetConfig) -> Shard {
-        let noop = Obs::noop();
         Shard {
             id,
             slots: (0..cfg.shard.slots)
                 .map(|_| Slot { run: None, pending: None, token: 0, due_ms: 0.0 })
                 .collect(),
             queue: VecDeque::new(),
-            slo: SupSlo::with_taps(
-                &noop,
-                cfg.shard.slo_config(),
-                ["shard.arrivals", "shard.sheds", "shard.wait_us"],
-            ),
+            slo: SupSlo::new(&Obs::noop(), cfg.shard.slo_config()),
             breaker: CircuitBreaker::new(cfg.shard.breaker).expect("validated breaker config"),
             faults: cfg.shard.warm_faults,
             alive: true,
@@ -974,49 +963,9 @@ struct PendingVerify {
     tail: Vec<LogEvent>,
 }
 
-/// Fleet metric handles.
-struct FleetObs {
-    routed: Counter,
-    shed: Counter,
-    migrations: Counter,
-    crashes: Counter,
-    stalls: Counter,
-    degraded_links: Counter,
-    drains_deferred: Counter,
-    scale_up: Counter,
-    scale_down: Counter,
-    power_losses: Counter,
-    cold_resumes: Counter,
-    lost_durable: Counter,
-    shards: Gauge,
-    queue_wait_us: Histogram,
-}
-
-impl FleetObs {
-    fn new(obs: &Obs) -> FleetObs {
-        let l: &[(&'static str, &'static str)] = &[("pillar", "runtime")];
-        FleetObs {
-            routed: obs.counter("fleet.routed", l),
-            shed: obs.counter("fleet.shed", l),
-            migrations: obs.counter("fleet.migrations", l),
-            crashes: obs.counter("fleet.crashes", l),
-            stalls: obs.counter("fleet.stalls", l),
-            degraded_links: obs.counter("fleet.degraded_links", l),
-            drains_deferred: obs.counter("fleet.drains_deferred", l),
-            scale_up: obs.counter("fleet.scale_up", l),
-            scale_down: obs.counter("fleet.scale_down", l),
-            power_losses: obs.counter("fleet.power_losses", l),
-            cold_resumes: obs.counter("fleet.cold_resumes", l),
-            lost_durable: obs.counter("fleet.lost_durable", l),
-            shards: obs.gauge("fleet.shards", l),
-            queue_wait_us: obs.histogram("fleet.queue_wait_us", l),
-        }
-    }
-}
-
 /// The per-session segment count for synthetic workloads: seeded,
 /// uniform on `1..=2*mean-1` so the mean is `mean` (validated to
-/// `1..=u32::MAX / 2` by `fleet_core`).
+/// `1..=u32::MAX / 2` by `run_fleet`).
 fn synth_total(seed: u64, mean_segments: u32, id: usize) -> u32 {
     let span = u64::from(2 * mean_segments - 1);
     1 + (mix(seed ^ SALT_SYNTH ^ mix(id as u64)) % span) as u32
@@ -1164,8 +1113,6 @@ struct FleetSim<'a> {
     scale_events: Vec<ScaleEvent>,
     pending_verify: Vec<PendingVerify>,
     fleet_slo: SupSlo,
-    fo: FleetObs,
-    rec: SpanRecorder,
     /// Per-shard causal journey logs ([`FleetConfig::journeys`]).
     journey: JourneyRecorder,
     makespan_ms: f64,
@@ -1249,8 +1196,6 @@ impl FleetSim<'_> {
     fn shed(&mut self, sidx: Option<usize>, id: usize, generation: u32, t_ms: f64, reason: &str) {
         self.outcomes[id] = Some(SessionOutcome::Shed { reason: reason.into() });
         self.fleet_slo.on_shed(t_ms);
-        self.fo.shed.inc();
-        self.rec.event("shed", id as u64, us_from_ms(t_ms));
         self.makespan_ms = self.makespan_ms.max(t_ms);
         let sid = sidx.map(|i| self.shards[i].id);
         self.journey_event(
@@ -1274,7 +1219,6 @@ impl FleetSim<'_> {
             self.shed(None, id, 0, t_ms, "no shard available");
             return;
         };
-        self.fo.routed.inc();
         let i = self.sidx(dest).expect("routable shard exists");
         self.enqueue(i, QEntry { id, arrival_ms: t_ms, mode: ServiceMode::Full, resume: None }, t_ms);
     }
@@ -1341,7 +1285,6 @@ impl FleetSim<'_> {
                 continue;
             }
             self.queue_waits.push(wait);
-            self.fo.queue_wait_us.record(us_from_ms(wait));
             self.fleet_slo.on_wait(start, wait);
             self.shards[i].slo.on_wait(start, wait);
             self.dispatch(i, slot_idx, q, start);
@@ -1359,7 +1302,6 @@ impl FleetSim<'_> {
         let gen_now = resume.as_ref().map_or(0, |rs| rs.generation);
         let sid = self.shards[i].id;
         self.shards[i].admitted += 1;
-        self.rec.event("admit", id as u64, us_from_ms(start));
         self.journey_event(
             Some(sid),
             start,
@@ -1418,28 +1360,26 @@ impl FleetSim<'_> {
                     let save = c.save.as_ref().expect("engine commits carry a save");
                     self.migrations[mi].handoff_ok =
                         Some(er.session.checkpoint().digest() == c.digest);
-                    if cfg.migration.verify_replay {
-                        let mut bot = factory(id, generation);
-                        let shadow = catch_unwind(AssertUnwindSafe(|| {
-                            resume_session(
-                                graph.clone(),
-                                config.clone(),
-                                save,
-                                &mut *bot,
-                                c.step,
-                                cfg.shard.max_steps,
-                                cfg.shard.tick_ms,
-                            )
-                        }));
-                        if let Ok(Ok(run)) = shadow {
-                            self.pending_verify.retain(|p| p.session != id);
-                            self.pending_verify.push(PendingVerify {
-                                session: id,
-                                generation,
-                                mig_idx: mi,
-                                tail: run.log.events().to_vec(),
-                            });
-                        }
+                    let mut bot = factory(id, generation);
+                    let shadow = catch_unwind(AssertUnwindSafe(|| {
+                        resume_session(
+                            graph.clone(),
+                            config.clone(),
+                            save,
+                            &mut *bot,
+                            c.step,
+                            cfg.shard.max_steps,
+                            cfg.shard.tick_ms,
+                        )
+                    }));
+                    if let Ok(Ok(run)) = shadow {
+                        self.pending_verify.retain(|p| p.session != id);
+                        self.pending_verify.push(PendingVerify {
+                            session: id,
+                            generation,
+                            mig_idx: mi,
+                            tail: run.log.events().to_vec(),
+                        });
                     }
                 }
                 r.engine = Some(er);
@@ -1586,7 +1526,6 @@ impl FleetSim<'_> {
         if r.cold && matches!(outcome, SessionOutcome::Recovered { .. }) {
             self.recovered_cold += 1;
         }
-        self.rec.event("done", r.id as u64, us_from_ms(t));
         if self.journey.is_enabled() {
             let sid = self.shards[i].id;
             let kind = match &outcome {
@@ -1625,8 +1564,6 @@ impl FleetSim<'_> {
         };
         let from_id = self.shards[from_idx].id;
         self.shards[from_idx].migrated_out += 1;
-        self.fo.migrations.inc();
-        self.rec.event("migrate", r.id as u64, us_from_ms(now));
         let di = self.sidx(dest).expect("routable shard exists");
         let mi = self.migrations.len();
         // The handoff carries the *resuming* generation's identity; its
@@ -1686,8 +1623,6 @@ impl FleetSim<'_> {
         match f.kind {
             ShardFaultKind::Crash => self.crash(i, t_ms),
             ShardFaultKind::Stall { duration_ms } => {
-                self.fo.stalls.inc();
-                self.rec.event("stall", u64::from(f.shard), us_from_ms(t_ms));
                 let s = &mut self.shards[i];
                 s.stalled_until_ms = s.stalled_until_ms.max(t_ms + duration_ms);
                 for slot in &mut s.slots {
@@ -1697,8 +1632,6 @@ impl FleetSim<'_> {
                 }
             }
             ShardFaultKind::DegradedLink { loss } => {
-                self.fo.degraded_links.inc();
-                self.rec.event("degraded_link", u64::from(f.shard), us_from_ms(t_ms));
                 let s = &mut self.shards[i];
                 s.faults = s.faults.with_loss(loss).expect("validated loss rate");
             }
@@ -1711,8 +1644,6 @@ impl FleetSim<'_> {
     /// re-routes. Slot tokens bump so in-flight segment events die.
     fn crash(&mut self, i: usize, t_ms: f64) {
         let sid = self.shards[i].id;
-        self.fo.crashes.inc();
-        self.rec.event("crash", u64::from(sid), us_from_ms(t_ms));
         self.router.remove_shard(sid);
         let (running, queued) = {
             let s = &mut self.shards[i];
@@ -1778,8 +1709,6 @@ impl FleetSim<'_> {
     /// record it died to.
     fn on_power_loss(&mut self, pi: usize) {
         let t_ms = self.cfg.power_loss_at_ms[pi];
-        self.fo.power_losses.inc();
-        self.rec.event("power_loss", pi as u64, us_from_ms(t_ms));
         self.makespan_ms = self.makespan_ms.max(t_ms);
         // Phase 1: the lights go out. Collect every live session id —
         // their in-memory state (engines, logs, restart counters,
@@ -1856,8 +1785,6 @@ impl FleetSim<'_> {
                     if rc.stale {
                         self.stale_resumes += 1;
                     }
-                    self.fo.cold_resumes.inc();
-                    self.rec.event("cold_resume", id as u64, us_from_ms(t_ms));
                     let resume = ResumeState {
                         committed: commit,
                         generation: rec.generation + 1,
@@ -1913,7 +1840,6 @@ impl FleetSim<'_> {
                             .find(|c| c.seq == seq)
                             .map_or(CorruptKind::Torn, |c| c.kind);
                         self.lost.push(LostSession { session: id, seq, kind });
-                        self.fo.lost_durable.inc();
                         self.shed(None, id, 0, t_ms, "cold restart: durable checkpoint corrupt");
                     }
                     None => {
@@ -1929,7 +1855,6 @@ impl FleetSim<'_> {
     fn drain(&mut self, i: usize, t_ms: f64, reason: MigrationReason) {
         let sid = self.shards[i].id;
         self.router.remove_shard(sid);
-        self.rec.event("drain", u64::from(sid), us_from_ms(t_ms));
         let queued = {
             let s = &mut self.shards[i];
             s.draining = true;
@@ -1979,12 +1904,6 @@ impl FleetSim<'_> {
                     // Hold the streak: the drain fires on the first
                     // control tick the fleet has headroom again.
                     self.drains_deferred += 1;
-                    self.fo.drains_deferred.inc();
-                    self.rec.event(
-                        "drain_deferred",
-                        u64::from(self.shards[i].id),
-                        us_from_ms(t_ms),
-                    );
                     continue;
                 }
                 self.shards[i].burn_streak = 0;
@@ -2012,9 +1931,6 @@ impl FleetSim<'_> {
             self.next_shard_id += 1;
             self.shards.push(Shard::new(id, cfg));
             self.router.add_shard(id);
-            self.fo.scale_up.inc();
-            self.fo.shards.observe(self.router.len() as u64);
-            self.rec.event("scale_up", u64::from(id), us_from_ms(t_ms));
             self.scale_events.push(ScaleEvent {
                 at_ms: t_ms,
                 up: true,
@@ -2042,8 +1958,6 @@ impl FleetSim<'_> {
             }
             if let Some(p) = pick {
                 let id = self.shards[p].id;
-                self.fo.scale_down.inc();
-                self.rec.event("scale_down", u64::from(id), us_from_ms(t_ms));
                 self.drain(p, t_ms, MigrationReason::ScaleDown);
                 self.scale_events.push(ScaleEvent {
                     at_ms: t_ms,
@@ -2063,16 +1977,21 @@ fn replay_comparable(outcome: &SessionOutcome) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Entry points
+// Entry point
 // ---------------------------------------------------------------------------
 
-fn fleet_core(
+/// Runs `n_sessions` seeded arrivals through the sharded fleet:
+/// consistent-hash routing, per-shard bounded admission with the
+/// supervisor's degradation ladder, scheduled shard faults, SLO-driven
+/// drains, and (optionally) autoscaling. Deterministic: identical
+/// inputs produce an identical [`FleetReport`], which — with its
+/// journeys when [`FleetConfig::journeys`] is on — is the fleet's whole
+/// account of the run.
+pub fn run_fleet(
     workload: &FleetWorkload<'_>,
     cfg: &FleetConfig,
     n_sessions: usize,
     arrivals: &ArrivalPlan,
-    obs: &Obs,
-    label: &str,
 ) -> Result<FleetReport> {
     cfg.validate()?;
     if let FleetWorkload::Synthetic { mean_segments } = workload {
@@ -2082,8 +2001,6 @@ fn fleet_core(
         }
     }
     let router = FleetRouter::new(cfg.router_seed, cfg.vnodes, cfg.shards)?;
-    let mut rec = obs.recorder(label.to_owned());
-    rec.enter("fleet", 0);
     let mut sim = FleetSim {
         cfg,
         workload,
@@ -2097,19 +2014,13 @@ fn fleet_core(
         migrations: Vec::new(),
         scale_events: Vec::new(),
         pending_verify: Vec::new(),
-        fleet_slo: SupSlo::with_taps(
-            obs,
-            cfg.shard.slo_config(),
-            ["fleet.arrivals", "fleet.sheds", "fleet.wait_us"],
-        ),
-        fo: FleetObs::new(obs),
-        rec,
+        fleet_slo: SupSlo::new(&Obs::noop(), cfg.shard.slo_config()),
         journey: if cfg.journeys { JourneyRecorder::new() } else { JourneyRecorder::disabled() },
         makespan_ms: 0.0,
         last_scale_ms: f64::NEG_INFINITY,
         up_streak: 0,
         down_streak: 0,
-        store: cfg.store.map(|sc| DurableStore::with_obs(sc, obs)),
+        store: cfg.store.map(DurableStore::new),
         acked: BTreeMap::new(),
         scrubs: Vec::new(),
         cold_resumed: 0,
@@ -2117,7 +2028,6 @@ fn fleet_core(
         lost: Vec::new(),
         recovered_cold: 0,
     };
-    sim.fo.shards.observe(u64::from(cfg.shards));
     for (fi, f) in cfg.faults.iter().enumerate() {
         sim.push_ms(f.at_ms, EvKind::Fault(fi));
     }
@@ -2161,7 +2071,6 @@ fn fleet_core(
     }
 
     let makespan_ms = sim.makespan_ms.max(times.last().copied().unwrap_or(0.0));
-    sim.rec.exit(us_from_ms(makespan_ms));
     let FleetSim {
         router,
         shards,
@@ -2171,8 +2080,6 @@ fn fleet_core(
         migrations,
         scale_events,
         fleet_slo,
-        fo,
-        rec,
         journey,
         store,
         scrubs,
@@ -2182,8 +2089,6 @@ fn fleet_core(
         recovered_cold,
         ..
     } = sim;
-    fo.shards.observe(router.len() as u64);
-    obs.attach(rec);
     let (alerts, ledgers) = fleet_slo.finish(makespan_ms);
 
     let rows: Vec<ShardReport> = shards
@@ -2261,34 +2166,6 @@ fn fleet_core(
     Ok(report)
 }
 
-/// Runs `n_sessions` seeded arrivals through the sharded fleet:
-/// consistent-hash routing, per-shard bounded admission with the
-/// supervisor's degradation ladder, scheduled shard faults, SLO-driven
-/// drains, and (optionally) autoscaling. Deterministic: identical
-/// inputs produce an identical [`FleetReport`].
-pub fn run_fleet(
-    workload: &FleetWorkload<'_>,
-    cfg: &FleetConfig,
-    n_sessions: usize,
-    arrivals: &ArrivalPlan,
-) -> Result<FleetReport> {
-    fleet_core(workload, cfg, n_sessions, arrivals, &Obs::noop(), "fleet")
-}
-
-/// [`run_fleet`] with full observability: `fleet.*` counters, the
-/// fleet-level SLO series tapped into the registry, and one trace of
-/// admit/shed/migrate/crash/scale events on the simulated clock.
-pub fn run_fleet_observed(
-    workload: &FleetWorkload<'_>,
-    cfg: &FleetConfig,
-    n_sessions: usize,
-    arrivals: &ArrivalPlan,
-    obs: &Obs,
-    label: &str,
-) -> Result<FleetReport> {
-    fleet_core(workload, cfg, n_sessions, arrivals, obs, label)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2296,7 +2173,7 @@ mod tests {
     use crate::fixtures::{fix_the_computer, FRAME};
     use crate::input::InputEvent;
     use crate::supervisor::{LadderPolicy, SloLadderConfig};
-    use vgbl_stream::LoadSpike;
+    use vgbl_stream::{BreakerConfig, LoadSpike};
 
     fn config() -> SessionConfig {
         SessionConfig::for_frame(FRAME.0, FRAME.1)
@@ -2368,6 +2245,17 @@ mod tests {
         assert!(FleetConfig { control_interval_ms: 0.0, ..ok.clone() }.validate().is_err());
         let never = SupervisorConfig { checkpoint_every: 0, ..SupervisorConfig::default() };
         assert!(FleetConfig { shard: never, ..ok.clone() }.validate().is_err());
+        // Every shard builds its breaker from this config: an invalid one
+        // is an error up front, not a panic inside `run_fleet`.
+        let no_window = SupervisorConfig {
+            breaker: BreakerConfig { window: 0, ..BreakerConfig::default() },
+            ..SupervisorConfig::default()
+        };
+        let bad_breaker = FleetConfig { shard: no_window, ..ok.clone() };
+        assert!(bad_breaker.validate().is_err());
+        let workload = FleetWorkload::Synthetic { mean_segments: 2 };
+        let arrivals = ArrivalPlan::new(1, 10.0).unwrap();
+        assert!(run_fleet(&workload, &bad_breaker, 4, &arrivals).is_err());
         let bad_stall = FleetConfig {
             faults: vec![ShardFault {
                 at_ms: 10.0,
@@ -2640,7 +2528,6 @@ mod tests {
                 // This test pins the drain mechanics themselves, so the
                 // overload guard is out of the picture.
                 max_drain_occupancy: f64::INFINITY,
-                verify_replay: true,
             },
             ..FleetConfig::default()
         };
@@ -2679,7 +2566,6 @@ mod tests {
                 burn_threshold: 1.0,
                 sustain_ticks: 1,
                 max_drain_occupancy,
-                verify_replay: true,
             },
             ..FleetConfig::default()
         };
@@ -2751,7 +2637,6 @@ mod tests {
                 burn_threshold: 1e12,
                 sustain_ticks: 10,
                 max_drain_occupancy: f64::INFINITY,
-                verify_replay: false,
             },
             autoscale: Some(AutoscaleConfig {
                 up_burn: 2.0,

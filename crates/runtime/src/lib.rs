@@ -70,17 +70,16 @@ pub use device::{RemoteButton, RemoteControl};
 pub use engine::{GameSession, SessionConfig};
 pub use error::RuntimeError;
 pub use executor::{
-    run_tasks, run_tasks_observed, CohortRun, EventQueue, ExecutorStats, SessionTask, SimTime,
-    Step, Timed,
+    run_tasks, CohortRun, EventQueue, ExecutorStats, SessionTask, SimTime, Step, Timed,
 };
 pub use feedback::Feedback;
 pub use chaos::{
     incident_report, run_chaos, ChaosConfig, ChaosReport, Incident, IncidentReport, InvariantCheck,
 };
 pub use fleet::{
-    run_fleet, run_fleet_observed, AutoscaleConfig, DurabilityReport, FleetConfig, FleetReport,
-    FleetRouter, FleetWorkload, LostSession, MigrationConfig, MigrationReason, MigrationRecord,
-    ScaleEvent, ShardFault, ShardFaultKind, ShardReport,
+    run_fleet, AutoscaleConfig, DurabilityReport, FleetConfig, FleetReport, FleetRouter,
+    FleetWorkload, LostSession, MigrationConfig, MigrationReason, MigrationRecord, ScaleEvent,
+    ShardFault, ShardFaultKind, ShardReport,
 };
 pub use input::InputEvent;
 pub use inventory::Inventory;

@@ -35,7 +35,7 @@ use vgbl_scene::SceneGraph;
 use crate::analytics::{DecodeReuse, LearningReport};
 use crate::bot::{drive, run_session, Bot, BotRun};
 use crate::engine::{GameSession, SessionConfig};
-use crate::executor::{run_tasks, run_tasks_observed, ExecutorStats, SessionTask, Step};
+use crate::executor::{run_tasks, ExecutorStats, SessionTask, Step};
 use crate::playback::{PlaybackController, PlaybackStats};
 use crate::Result;
 
@@ -566,40 +566,34 @@ pub fn run_playback_cohort(
         .collect();
 
     // Batch resolution: decode the tick's missing GOPs exactly once,
-    // fanned over the work-stealing pool — the same prewarm the
-    // lockstep runner (`crate::batch`) does, driven by the executor's
+    // fanned over the work-stealing pool, driven by the executor's
     // coalesced fetch plan. With caching disabled there is no residency
     // to share: sessions decode for themselves, as the threaded path
     // would.
     let mut prewarm_frames = 0usize;
-    let run = run_tasks_observed(
-        tasks,
-        RUN_QUEUE_SEED,
-        |plan| {
-            if cache.capacity_gops() == 0 {
-                return;
-            }
-            let missing: Vec<usize> =
-                plan.keys.iter().copied().filter(|&k| !cache.contains(video_id, k)).collect();
-            if missing.is_empty() {
-                return;
-            }
-            let decoded: Vec<usize> = parallel_map_indexed(missing.len(), workers, |j| {
-                let k = missing[j];
-                // Failures are left for the sessions' own serve path,
-                // which conceals (or fails) with the unbatched
-                // semantics.
-                cache
-                    .get_or_decode(video_id, k, || decoder.decode_gop_at(&video, k))
-                    .map(|frames| frames.len())
-                    .unwrap_or(0)
-            });
-            let frames: usize = decoded.iter().sum();
-            prewarm_frames += frames;
-            decoded_ctr.add(frames as u64);
-        },
-        obs,
-    );
+    let run = run_tasks(tasks, RUN_QUEUE_SEED, |plan| {
+        if cache.capacity_gops() == 0 {
+            return;
+        }
+        let missing: Vec<usize> =
+            plan.keys.iter().copied().filter(|&k| !cache.contains(video_id, k)).collect();
+        if missing.is_empty() {
+            return;
+        }
+        let decoded: Vec<usize> = parallel_map_indexed(missing.len(), workers, |j| {
+            let k = missing[j];
+            // Failures are left for the sessions' own serve path,
+            // which conceals (or fails) with the unbatched
+            // semantics.
+            cache
+                .get_or_decode(video_id, k, || decoder.decode_gop_at(&video, k))
+                .map(|frames| frames.len())
+                .unwrap_or(0)
+        });
+        let frames: usize = decoded.iter().sum();
+        prewarm_frames += frames;
+        decoded_ctr.add(frames as u64);
+    });
     let (outcomes, stats) = split_rows(run.rows);
     completed_ctr.add(stats.len() as u64);
     let failed = outcomes.iter().filter(|o| o.is_failed()).count();

@@ -367,6 +367,7 @@ impl SupervisorConfig {
         if let LadderPolicy::SloDriven(slo) = &self.ladder {
             slo.validate()?;
         }
+        self.breaker.validate().map_err(|e| bad(&e.to_string()))?;
         Ok(())
     }
 
@@ -653,16 +654,12 @@ impl SupObs {
     }
 }
 
-/// Registry tap names for one [`SupSlo`] instance: the arrival counter,
-/// the shed counter, and the queue-wait histogram series.
-pub(crate) type SloTapNames = [&'static str; 3];
-
 /// The supervisor's SLO telemetry: standalone control series (live even
 /// under [`Obs::noop`], because the SLO-driven ladder reads them) plus
 /// registry-tapped mirrors for export, and the evaluator that turns
-/// them into the alert timeline. The fleet reuses it per shard (with a
-/// noop obs — shard control series never hit the registry) and once
-/// fleet-wide under `fleet.*` tap names.
+/// them into the alert timeline. The fleet reuses it per shard and once
+/// fleet-wide, with a noop obs: its control series never hit the
+/// registry, and its alerts reach the caller through the report.
 pub(crate) struct SupSlo {
     cfg: SloLadderConfig,
     /// Arrivals (all of them, shed included) — the shed objective's
@@ -682,15 +679,7 @@ pub(crate) struct SupSlo {
 }
 
 impl SupSlo {
-    fn new(obs: &Obs, cfg: SloLadderConfig) -> SupSlo {
-        SupSlo::with_taps(
-            obs,
-            cfg,
-            ["supervisor.arrivals", "supervisor.shed", "supervisor.queue_wait_us"],
-        )
-    }
-
-    pub(crate) fn with_taps(obs: &Obs, cfg: SloLadderConfig, taps: SloTapNames) -> SupSlo {
+    pub(crate) fn new(obs: &Obs, cfg: SloLadderConfig) -> SupSlo {
         // Bins at a quarter of the short window give the burn queries
         // sub-window resolution; the ring retains the slow rules' 4×long
         // window with slack.
@@ -740,9 +729,9 @@ impl SupSlo {
             sheds,
             wait_bad,
             wait_all,
-            arrivals_tap: obs.series(SeriesSpec::counter(taps[0], bin_us, bins)),
-            sheds_tap: obs.series(SeriesSpec::counter(taps[1], bin_us, bins)),
-            wait_tap: obs.series(SeriesSpec::histogram(taps[2], bin_us, bins)),
+            arrivals_tap: obs.series(SeriesSpec::counter("supervisor.arrivals", bin_us, bins)),
+            sheds_tap: obs.series(SeriesSpec::counter("supervisor.shed", bin_us, bins)),
+            wait_tap: obs.series(SeriesSpec::histogram("supervisor.queue_wait_us", bin_us, bins)),
             eval,
         }
     }
@@ -1067,8 +1056,7 @@ pub fn run_supervised_cohort(
     label: &str,
 ) -> Result<(SupervisorReport, Option<DurableStore>)> {
     sup.validate()?;
-    let breaker = CircuitBreaker::new(sup.breaker)
-        .map_err(|e| RuntimeError::InvalidSupervisor(e.to_string()))?;
+    let breaker = CircuitBreaker::new(sup.breaker).expect("validated breaker config");
     let times = arrivals.arrival_times(n_sessions);
     let mut rec = obs.recorder(label.to_owned());
     rec.enter("supervisor", 0);

@@ -10,15 +10,13 @@
 //! including cohorts with a panicking bot, whose failure must stay
 //! isolated to its own row on both paths.
 //!
-//! Two accounting differences by design: the executor prewarms a
-//! tick's GOPs through the shared cache before sessions serve, so cache
+//! One accounting difference by design: the executor prewarms a tick's
+//! GOPs through the shared cache before sessions serve, so cache
 //! *lookup* counts (hits) differ while *decode* work does not (with a
 //! full-capacity cache both paths decode every distinct GOP exactly
 //! once, so `frames_decoded` is compared too; reuse hit counts are
-//! not), and the executor exports its own scheduling telemetry
-//! (`executor.*` run-queue/fetch-batch metrics) that a
-//! thread-per-session path cannot have, so those rows are projected
-//! out before the exports are compared.
+//! not). The executor reports its scheduling only through
+//! `ExecutorStats`, so the four exports are compared whole.
 
 use std::panic;
 use std::sync::Arc;
@@ -80,21 +78,8 @@ fn clip(shot_len: usize, noise_seed: u64) -> (Arc<EncodedVideo>, SegmentTable) {
     (Arc::new(video), table)
 }
 
-/// Drops the executor's own scheduling telemetry (`executor.*` — run
-/// queue depth, fetch batch sizes) from a text export: the threaded
-/// reference has no run queue or fetch batches by definition, so those
-/// rows are scheduler-specific the same way cache reuse counts are.
-fn strip_executor_metrics(export: &str) -> String {
-    export
-        .lines()
-        .filter(|l| !l.contains("executor."))
-        .map(|l| format!("{l}\n"))
-        .collect()
-}
-
-/// Everything a playback run produced, exports included, with the
-/// scheduling-sensitive reuse counters and the executor's own
-/// telemetry projected out.
+/// Everything a playback run produced, all four exports included, with
+/// the scheduling-sensitive reuse counters left out.
 fn playback_fingerprint(
     report: &PlaybackCohortReport,
     obs: &Obs,
@@ -107,10 +92,10 @@ fn playback_fingerprint(
         report.frames_served,
         report.frames_decoded,
         report.switches,
-        strip_executor_metrics(&snap.to_table()),
-        strip_executor_metrics(&snap.metrics_csv()),
+        snap.to_table(),
+        snap.metrics_csv(),
         snap.spans_csv(),
-        strip_executor_metrics(&snap.to_jsonl()),
+        snap.to_jsonl(),
     )
 }
 

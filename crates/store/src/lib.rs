@@ -47,7 +47,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use vgbl_obs::hash::{fnv1a, mix, unit};
-use vgbl_obs::{Counter, Histogram, Obs};
 
 // ---------------------------------------------------------------------------
 // Seeded fault draws
@@ -467,47 +466,6 @@ pub struct StoreStats {
     pub pending_lost: u64,
 }
 
-/// Resolved `store.*` metric handles, all labelled `pillar=store`. On a
-/// noop [`Obs`] every handle is detached, so the default store pays one
-/// branch per tap — benches and journey-off fleets are unaffected.
-#[derive(Debug, Clone)]
-struct StoreObs {
-    obs: Obs,
-    flushes: Counter,
-    flushes_lost: Counter,
-    flushes_reordered: Counter,
-    records_acked: Counter,
-    flush_batch: Histogram,
-    snapshots: Counter,
-    power_losses: Counter,
-    pending_lost: Counter,
-    torn_detected: Counter,
-    rot_detected: Counter,
-    scrub_repairs: Counter,
-    stale_reads: Counter,
-}
-
-impl StoreObs {
-    fn new(obs: &Obs) -> StoreObs {
-        const L: &[(&str, &str)] = &[("pillar", "store")];
-        StoreObs {
-            obs: obs.clone(),
-            flushes: obs.counter("store.flushes", L),
-            flushes_lost: obs.counter("store.flushes_lost", L),
-            flushes_reordered: obs.counter("store.flushes_reordered", L),
-            records_acked: obs.counter("store.records_acked", L),
-            flush_batch: obs.histogram("store.flush_batch_records", L),
-            snapshots: obs.counter("store.snapshot_compactions", L),
-            power_losses: obs.counter("store.power_losses", L),
-            pending_lost: obs.counter("store.pending_lost", L),
-            torn_detected: obs.counter("store.torn_detected", L),
-            rot_detected: obs.counter("store.rot_detected", L),
-            scrub_repairs: obs.counter("store.scrub_repairs", L),
-            stale_reads: obs.counter("store.stale_reads", L),
-        }
-    }
-}
-
 /// A successful flush acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushAck {
@@ -537,18 +495,12 @@ pub struct DurableStore {
     power_idx: u64,
     next_snap: u64,
     stats: StoreStats,
-    sobs: StoreObs,
 }
 
 impl DurableStore {
-    /// A fresh, empty store with no observability (detached handles).
+    /// A fresh, empty store. It reports through [`DurableStore::stats`]
+    /// and the [`ScrubReport`] each recovery returns.
     pub fn new(cfg: StoreConfig) -> DurableStore {
-        DurableStore::with_obs(cfg, &Obs::noop())
-    }
-
-    /// A fresh, empty store emitting `store.*` counters/histograms (and
-    /// a scrub trace per recovery) into `obs`.
-    pub fn with_obs(cfg: StoreConfig, obs: &Obs) -> DurableStore {
         let n = if cfg.dual_write { 2 } else { 1 };
         DurableStore {
             cfg,
@@ -560,7 +512,6 @@ impl DurableStore {
             power_idx: 0,
             next_snap: 0,
             stats: StoreStats::default(),
-            sobs: StoreObs::new(obs),
         }
     }
 
@@ -597,14 +548,12 @@ impl DurableStore {
     pub fn flush(&mut self) -> Result<FlushAck> {
         self.flush_idx += 1;
         self.stats.flushes += 1;
-        self.sobs.flushes.inc();
         if self.pending.is_empty() {
             self.stats.acked_flushes += 1;
             return Ok(FlushAck { first_seq: self.next_seq, records: 0 });
         }
         if self.cfg.faults.lost_at(self.flush_idx) {
             self.stats.lost_flushes += 1;
-            self.sobs.flushes_lost.inc();
             return Err(StoreError::FlushLost {
                 flush: self.flush_idx,
                 records: self.pending.len(),
@@ -619,7 +568,6 @@ impl DurableStore {
             let head = batch.remove(0);
             batch.push(head);
             self.stats.reordered_flushes += 1;
-            self.sobs.flushes_reordered.inc();
         }
         let records = batch.len();
         for (seq, bytes, session) in batch {
@@ -637,8 +585,6 @@ impl DurableStore {
         }
         self.stats.acked_flushes += 1;
         self.stats.acked_records += records as u64;
-        self.sobs.records_acked.add(records as u64);
-        self.sobs.flush_batch.record(records as u64);
         if self.cfg.snapshot_every > 0
             && self.stats.acked_flushes.is_multiple_of(self.cfg.snapshot_every)
         {
@@ -665,7 +611,6 @@ impl DurableStore {
             r.wal.retain(|b| b.id > upto);
         }
         self.stats.snapshots += 1;
-        self.sobs.snapshots.inc();
     }
 
     /// The fleet-wide outage: the volatile buffer vanishes (staged
@@ -678,11 +623,9 @@ impl DurableStore {
     pub fn power_loss(&mut self) {
         self.power_idx += 1;
         self.stats.power_losses += 1;
-        self.sobs.power_losses.inc();
         let torn = self.cfg.faults.torn_at(self.power_idx);
         let staged = std::mem::take(&mut self.pending);
         self.stats.pending_lost += staged.len() as u64;
-        self.sobs.pending_lost.add(staged.len() as u64);
         if !torn {
             return;
         }
@@ -779,7 +722,6 @@ impl DurableStore {
                 Ok(((seq, rec), repaired)) => {
                     if repaired {
                         report.repaired.push(seq);
-                        self.sobs.scrub_repairs.inc();
                     }
                     wal.push((seq, rec, repaired));
                 }
@@ -788,10 +730,6 @@ impl DurableStore {
                         DecodeFail::Truncated => CorruptKind::Torn,
                         DecodeFail::Corrupt => CorruptKind::Rotten,
                     };
-                    match kind {
-                        CorruptKind::Torn => self.sobs.torn_detected.inc(),
-                        CorruptKind::Rotten => self.sobs.rot_detected.inc(),
-                    }
                     report.lost.push(CorruptRecord { seq: blob.id, kind });
                 }
             }
@@ -828,31 +766,9 @@ impl DurableStore {
             v.sort_by_key(|(seq, _)| *seq);
             v.dedup_by_key(|(seq, _)| *seq);
             let stale = self.cfg.faults.stale_at(session) && v.len() >= 2;
-            if stale {
-                self.sobs.stale_reads.inc();
-            }
             let (seq, record) =
                 if stale { v[v.len() - 2].clone() } else { v.last().expect("non-empty").clone() };
             sessions.insert(session, RecoveredCheckpoint { seq, record, stale });
-        }
-        // One scrub trace per recovery: zero-duration events (the store
-        // has no clock of its own) carrying each finding's WAL seq, so
-        // the damage an incident report names is span-queryable too.
-        if self.sobs.obs.enabled() {
-            let mut rec = self.sobs.obs.recorder(format!("store.recover-{:04}", self.power_idx));
-            rec.enter_with("store.recover", sessions.len() as u64, 0);
-            for r in &scrub.repaired {
-                rec.event("store.scrub.repaired", *r, 0);
-            }
-            for l in &scrub.lost {
-                let name = match l.kind {
-                    CorruptKind::Torn => "store.scrub.lost_torn",
-                    CorruptKind::Rotten => "store.scrub.lost_rotten",
-                };
-                rec.event(name, l.seq, 0);
-            }
-            rec.exit(0);
-            self.sobs.obs.attach(rec);
         }
         Recovery { sessions, scrub }
     }
@@ -900,16 +816,29 @@ mod tests {
         let r = rec(42, 17, b"hello checkpoint");
         let bytes = encode(9, &r);
         assert_eq!(decode(&bytes), Ok((9, r.clone())));
-        // Truncation at any point is detected as torn or corrupt.
+        assert_eq!(parse_snapshot(&bytes), Some(vec![(9, r.clone())]));
+        // Truncation at any point is detected as torn or corrupt, and a
+        // snapshot holding the cut record is rejected whole. (The empty
+        // cut is a valid snapshot of no records.)
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} must not decode");
+            if cut > 0 {
+                assert_eq!(parse_snapshot(&bytes[..cut]), None, "cut at {cut} must not parse");
+            }
         }
         // Any single flipped byte is detected.
         for i in 0..bytes.len() {
             let mut b = bytes.clone();
             b[i] ^= 0x01;
             assert!(decode(&b).is_err(), "flip at {i} must not decode");
+            assert_eq!(parse_snapshot(&b), None, "flip at {i} must not parse");
         }
+        // A declared payload length far past the blob reads as torn; it
+        // sizes no allocation.
+        let mut huge = bytes.clone();
+        huge[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&huge), Err(DecodeFail::Truncated));
+        assert_eq!(parse_snapshot(&huge), None);
     }
 
     #[test]
@@ -1131,69 +1060,6 @@ mod tests {
         let back = &rcv.sessions[&4711].record;
         assert_eq!(back.trace_id, r.trace_id, "trace id crosses the power loss");
         assert_eq!(back.span_id, r.span_id, "span id crosses the power loss");
-    }
-
-    #[test]
-    fn obs_taps_mirror_store_stats() {
-        let faults = DiskFaultPlan::new(77)
-            .with_torn_writes(0.5)
-            .unwrap()
-            .with_bit_rot(0.2)
-            .unwrap()
-            .with_lost_flushes(0.2)
-            .unwrap()
-            .with_stale_reads(0.2)
-            .unwrap();
-        let obs = Obs::recording();
-        let mut s = DurableStore::with_obs(
-            StoreConfig { snapshot_every: 3, dual_write: true, faults },
-            &obs,
-        );
-        for i in 0..40u64 {
-            s.append(&rec(i % 7, i, format!("p{i}").as_bytes()));
-            let _ = s.flush();
-            if i % 13 == 12 {
-                s.power_loss();
-            }
-        }
-        s.power_loss();
-        let rcv = s.recover();
-        let stats = s.stats();
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter_total("store.flushes"), stats.flushes);
-        assert_eq!(snap.counter_total("store.flushes_lost"), stats.lost_flushes);
-        assert_eq!(snap.counter_total("store.records_acked"), stats.acked_records);
-        assert_eq!(snap.counter_total("store.snapshot_compactions"), stats.snapshots);
-        assert_eq!(snap.counter_total("store.power_losses"), stats.power_losses);
-        assert_eq!(snap.counter_total("store.pending_lost"), stats.pending_lost);
-        let torn = rcv.scrub.lost.iter().filter(|l| l.kind == CorruptKind::Torn).count();
-        let rot = rcv.scrub.lost.iter().filter(|l| l.kind == CorruptKind::Rotten).count();
-        assert_eq!(snap.counter_total("store.torn_detected"), torn as u64);
-        assert_eq!(snap.counter_total("store.rot_detected"), rot as u64);
-        assert_eq!(
-            snap.counter_total("store.scrub_repairs"),
-            rcv.scrub.repaired.len() as u64
-        );
-        let stale = rcv.sessions.values().filter(|c| c.stale).count();
-        assert_eq!(snap.counter_total("store.stale_reads"), stale as u64);
-        assert!(
-            snap.histogram("store.flush_batch_records").map_or(0, |h| h.count) > 0,
-            "flush batch sizes are recorded"
-        );
-        // The recovery attached a scrub trace with one event per finding.
-        assert_eq!(snap.traces.len(), 1);
-        assert!(snap.traces[0].label.starts_with("store.recover-"));
-        assert_eq!(
-            snap.span_count("store.scrub.repaired"),
-            rcv.scrub.repaired.len(),
-            "every repair is span-queryable"
-        );
-
-        // A plain `new()` store is detached: same workload, no metrics.
-        let mut quiet = DurableStore::new(StoreConfig { snapshot_every: 3, dual_write: true, faults });
-        quiet.append(&rec(1, 1, b"q"));
-        let _ = quiet.flush();
-        assert_eq!(quiet.stats().appended, 1);
     }
 
     #[test]

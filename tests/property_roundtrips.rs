@@ -96,6 +96,7 @@ proptest! {
         spec in footage_spec(),
         flip_at in any::<prop::sample::Index>(),
         flip_bits in 1u8..=255,
+        payload_at in any::<prop::sample::Index>(),
     ) {
         let footage = spec.render().unwrap();
         let video = Encoder::new(EncodeConfig { gop: 3, search_range: 2, ..Default::default() })
@@ -108,6 +109,29 @@ proptest! {
         // must also not panic.
         if let Ok(parsed) = ContainerReader::read(&bytes) {
             let _ = Decoder::default().decode_all(&parsed);
+        }
+
+        // A flip after writing almost always fails the trailer checksum
+        // first. Flipping a frame payload byte *before* writing reseals
+        // the container, so the damaged entropy data reaches every
+        // decode path, which must answer Ok or Err, never panic.
+        let mut resealed = video;
+        let mut at = payload_at.index(resealed.payload_bytes().max(1));
+        for frame in &mut resealed.frames {
+            if at < frame.data.len() {
+                frame.data[at] ^= flip_bits;
+                break;
+            }
+            at -= frame.data.len();
+        }
+        let parsed = ContainerReader::read(&ContainerWriter::write(&resealed)).unwrap();
+        let decoder = Decoder::default();
+        let _ = decoder.decode_all(&parsed);
+        for k in parsed.keyframes() {
+            let _ = decoder.decode_gop_at(&parsed, k);
+        }
+        for i in 0..parsed.len() {
+            let _ = decoder.decode_frame(&parsed, i);
         }
     }
 
