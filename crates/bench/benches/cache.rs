@@ -82,7 +82,6 @@ fn bench(c: &mut Criterion) {
                     24,
                     &Obs::noop(),
                 )
-                .unwrap()
             });
         });
     }

@@ -1,6 +1,5 @@
 //! EXP-8 — multi-session server scalability: bot sessions per second on
-//! the cooperative executor and vs worker threads on the
-//! thread-per-session reference, over shared immutable content, plus
+//! the cooperative executor over shared immutable content, plus
 //! playback cohorts decoding through a shared (warm) vs per-session
 //! (cold) GOP cache.
 
@@ -12,7 +11,7 @@ use vgbl::media::Quality;
 use vgbl::obs::Obs;
 use vgbl::runtime::bot::{Bot, GuidedBot};
 use vgbl::runtime::fixtures::{fix_the_computer, FRAME};
-use vgbl::runtime::server::{run_cohort, run_cohort_threaded, run_playback_cohort};
+use vgbl::runtime::server::{run_cohort, run_playback_cohort};
 use vgbl::runtime::SessionConfig;
 use vgbl_bench::{bench_footage, encode, table_for};
 
@@ -34,25 +33,8 @@ fn bench(c: &mut Criterion) {
                 100,
                 50,
             )
-            .unwrap()
         });
     });
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &workers| {
-            b.iter(|| {
-                run_cohort_threaded(
-                    graph.clone(),
-                    config.clone(),
-                    sessions,
-                    workers,
-                    &|_| Box::new(GuidedBot::new()) as Box<dyn Bot>,
-                    100,
-                    50,
-                )
-                .unwrap()
-            });
-        });
-    }
     group.finish();
 
     // Playback cohorts: the decode cost of hosting N video sessions with
@@ -79,7 +61,6 @@ fn bench(c: &mut Criterion) {
                         24,
                         &Obs::noop(),
                     )
-                    .unwrap()
                 });
             },
         );
@@ -97,7 +78,6 @@ fn bench(c: &mut Criterion) {
                         24,
                         &Obs::noop(),
                     )
-                    .unwrap()
                 });
             },
         );

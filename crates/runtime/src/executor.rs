@@ -33,8 +33,8 @@
 //!   instant), then a caller tie-break, then insertion order. There are
 //!   no equal keys, so heap behaviour is never visible.
 //! * A panicking task is caught **per poll**, retired as a `Failed`
-//!   row, and its spans still flush — the same isolation contract the
-//!   thread-per-session path made, without the thread.
+//!   row, and its spans still flush — the same isolation a session
+//!   played alone under `catch_unwind` gets.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;

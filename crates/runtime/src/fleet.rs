@@ -440,7 +440,9 @@ pub struct MigrationRecord {
     pub checkpoint_digest: u64,
     /// `Some(true)` when the destination's restored checkpoint
     /// re-digested identically (engine workloads; `None` when the
-    /// session was shed before the destination could restore it).
+    /// session was shed before the destination could restore it, or
+    /// when the hand-in build panicked and the destination rebuilt the
+    /// session as a restart).
     pub handoff_ok: Option<bool>,
     /// `Some(eq)` when a shadow replay's predicted log tail was compared
     /// against the destination's actual tail; `None` when a later
@@ -1342,47 +1344,53 @@ impl FleetSim<'_> {
                 r.committed = Some(rs.committed);
             }
         }
-        match wl {
-            FleetWorkload::Synthetic { mean_segments } => {
-                r.synth_total = synth_total(cfg.router_seed, *mean_segments, id);
-            }
-            FleetWorkload::Engine { graph, config, factory } => {
-                let (generation, committed) = (r.generation, r.committed.as_ref());
-                let er = match EngineRun::start(graph, config, *factory, id, generation, committed)
-                {
-                    Ok(er) => er,
-                    Err(e) => {
-                        self.finish(i, r, SegEnd::Failed { reason: e.to_string() }, t);
-                        return;
+        if let FleetWorkload::Synthetic { mean_segments } = wl {
+            r.synth_total = synth_total(cfg.router_seed, *mean_segments, id);
+        }
+        // A fresh session's engine is built by `advance_segment`, inside
+        // its unwind boundary. A resuming one is built here, under its
+        // own, so the hand-in can be checked; when that build panics,
+        // `advance_segment` rebuilds it as a restart.
+        if let (FleetWorkload::Engine { graph, config, factory }, Some(c)) = (wl, &r.committed) {
+            let generation = r.generation;
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                EngineRun::start(graph, config, *factory, id, generation, Some(c))
+            }));
+            match built {
+                Ok(Ok(er)) => {
+                    if let Some(mi) = mig_idx {
+                        let save = c.save.as_ref().expect("engine commits carry a save");
+                        self.migrations[mi].handoff_ok =
+                            Some(er.session.checkpoint().digest() == c.digest);
+                        let shadow = catch_unwind(AssertUnwindSafe(|| {
+                            let mut bot = factory(id, generation);
+                            resume_session(
+                                graph.clone(),
+                                config.clone(),
+                                save,
+                                &mut *bot,
+                                c.step,
+                                cfg.shard.max_steps,
+                                cfg.shard.tick_ms,
+                            )
+                        }));
+                        if let Ok(Ok(run)) = shadow {
+                            self.pending_verify.retain(|p| p.session != id);
+                            self.pending_verify.push(PendingVerify {
+                                session: id,
+                                generation,
+                                mig_idx: mi,
+                                tail: run.log.events().to_vec(),
+                            });
+                        }
                     }
-                };
-                if let (Some(mi), Some(c)) = (mig_idx, committed) {
-                    let save = c.save.as_ref().expect("engine commits carry a save");
-                    self.migrations[mi].handoff_ok =
-                        Some(er.session.checkpoint().digest() == c.digest);
-                    let mut bot = factory(id, generation);
-                    let shadow = catch_unwind(AssertUnwindSafe(|| {
-                        resume_session(
-                            graph.clone(),
-                            config.clone(),
-                            save,
-                            &mut *bot,
-                            c.step,
-                            cfg.shard.max_steps,
-                            cfg.shard.tick_ms,
-                        )
-                    }));
-                    if let Ok(Ok(run)) = shadow {
-                        self.pending_verify.retain(|p| p.session != id);
-                        self.pending_verify.push(PendingVerify {
-                            session: id,
-                            generation,
-                            mig_idx: mi,
-                            tail: run.log.events().to_vec(),
-                        });
-                    }
+                    r.engine = Some(er);
                 }
-                r.engine = Some(er);
+                Ok(Err(e)) => {
+                    self.finish(i, r, SegEnd::Failed { reason: e.to_string() }, t);
+                    return;
+                }
+                Err(_) => {}
             }
         }
         self.start_segment(i, slot_idx, r, t);
@@ -2173,7 +2181,7 @@ mod tests {
     use crate::fixtures::{fix_the_computer, FRAME};
     use crate::input::InputEvent;
     use crate::supervisor::{LadderPolicy, SloLadderConfig};
-    use vgbl_stream::{BreakerConfig, LoadSpike};
+    use vgbl_stream::{BreakerConfig, LoadSpike, RetryPolicy};
 
     fn config() -> SessionConfig {
         SessionConfig::for_frame(FRAME.0, FRAME.1)
@@ -2256,6 +2264,19 @@ mod tests {
         let workload = FleetWorkload::Synthetic { mean_segments: 2 };
         let arrivals = ArrivalPlan::new(1, 10.0).unwrap();
         assert!(run_fleet(&workload, &bad_breaker, 4, &arrivals).is_err());
+        // The warm phase schedules its retries with this policy: a
+        // negative deadline would run the simulated clock backwards.
+        let backwards = SupervisorConfig {
+            retry: RetryPolicy {
+                base_timeout_ms: -1e6,
+                max_timeout_ms: -1e6,
+                ..RetryPolicy::default()
+            },
+            ..SupervisorConfig::default()
+        };
+        let bad_retry = FleetConfig { shard: backwards, ..ok.clone() };
+        assert!(bad_retry.validate().is_err());
+        assert!(run_fleet(&workload, &bad_retry, 4, &arrivals).is_err());
         let bad_stall = FleetConfig {
             faults: vec![ShardFault {
                 at_ms: 10.0,
@@ -2369,9 +2390,10 @@ mod tests {
         assert!(a.shards.iter().any(|s| s.crashed));
     }
 
-    #[test]
-    fn crash_migrates_checkpointed_sessions_and_verifies_replay() {
-        let cfg = FleetConfig {
+    /// Two one-slot shards; shard 0 crashes at 400 ms, after its
+    /// sessions have checkpointed.
+    fn crash_cfg() -> FleetConfig {
+        FleetConfig {
             shards: 2,
             vnodes: 32,
             shard: SupervisorConfig {
@@ -2384,7 +2406,12 @@ mod tests {
             },
             faults: vec![ShardFault { at_ms: 400.0, shard: 0, kind: ShardFaultKind::Crash }],
             ..FleetConfig::default()
-        };
+        }
+    }
+
+    #[test]
+    fn crash_migrates_checkpointed_sessions_and_verifies_replay() {
+        let cfg = crash_cfg();
         let factory = |_: usize, _: u32| -> Box<dyn Bot> { Box::new(GuidedBot::new()) };
         let workload = FleetWorkload::Engine {
             graph: Arc::new(fix_the_computer()),
@@ -2410,6 +2437,70 @@ mod tests {
         assert!(crashed.crashed);
         assert!(crashed.migrated_out >= report.migrations.len());
         assert_eq!(report.routable_shards, 1);
+    }
+
+    #[test]
+    fn panicking_factory_on_first_dispatch_costs_a_restart_as_in_the_supervisor() {
+        let factory = |id: usize, generation: u32| -> Box<dyn Bot> {
+            if (id, generation) == (3, 0) {
+                panic!("bot factory failed");
+            }
+            Box::new(GuidedBot::new())
+        };
+        let graph = Arc::new(fix_the_computer());
+        let workload =
+            FleetWorkload::Engine { graph: graph.clone(), config: config(), factory: &factory };
+        let cfg = FleetConfig {
+            shards: 2,
+            shard: SupervisorConfig { queue_capacity: 16, slots: 2, ..SupervisorConfig::default() },
+            ..FleetConfig::default()
+        };
+        let arrivals = ArrivalPlan::new(3, 10_000.0).unwrap();
+        let fleet = quiet(|| run_fleet(&workload, &cfg, 6, &arrivals)).unwrap();
+        assert!(fleet.accounts_exactly(), "{fleet:?}");
+        let (sup, _) = quiet(|| {
+            crate::supervisor::run_supervised_cohort(
+                graph,
+                config(),
+                &cfg.shard,
+                6,
+                &factory,
+                &arrivals,
+                &Obs::noop(),
+                "",
+            )
+        })
+        .unwrap();
+        let recovered = SessionOutcome::Recovered { resumed_at_step: 0, restarts: 1 };
+        assert_eq!(sup.outcomes[3], recovered);
+        assert_eq!(fleet.outcomes[3], recovered);
+    }
+
+    #[test]
+    fn panicking_factory_at_migration_hand_in_costs_a_restart() {
+        // Every crash migration hands its session in as incarnation 1.
+        let factory = |_: usize, generation: u32| -> Box<dyn Bot> {
+            if generation == 1 {
+                panic!("bot factory failed");
+            }
+            Box::new(GuidedBot::new())
+        };
+        let workload = FleetWorkload::Engine {
+            graph: Arc::new(fix_the_computer()),
+            config: config(),
+            factory: &factory,
+        };
+        let arrivals = ArrivalPlan::new(5, 1.0).unwrap();
+        let report = quiet(|| run_fleet(&workload, &crash_cfg(), 10, &arrivals)).unwrap();
+        assert!(report.accounts_exactly(), "{report:?}");
+        assert!(!report.migrations.is_empty(), "crash mid-stampede must migrate someone");
+        for m in &report.migrations {
+            assert_eq!(m.handoff_ok, None, "the hand-in build panicked: {m:?}");
+            let rebuilt =
+                SessionOutcome::Recovered { resumed_at_step: m.resumed_at_step, restarts: 1 };
+            assert_eq!(report.outcomes[m.session], rebuilt);
+        }
+        assert!(report.migrations.iter().any(|m| m.resumed_at_step > 0), "{:?}", report.migrations);
     }
 
     #[test]

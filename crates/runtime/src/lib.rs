@@ -31,7 +31,7 @@
 //!   per-tick batch planner for coalesced chunk fetches, and the
 //!   `(time, class, tie, seq)` event queue the supervisor and fleet
 //!   schedule on.
-//! * [`server`] — a parallel multi-session host (EXP-8).
+//! * [`server`] — the multi-session cohort host (EXP-8).
 //! * [`supervisor`] — the supervised host (EXP-14): admission control,
 //!   load shedding, a degradation ladder, circuit breaking on the
 //!   stream link, and checkpoint-based crash recovery.
@@ -86,8 +86,7 @@ pub use inventory::Inventory;
 pub use playback::{PlaybackController, PlaybackStats};
 pub use save::SaveGame;
 pub use server::{
-    run_cohort, run_cohort_threaded, run_playback_cohort, run_playback_cohort_threaded,
-    PlaybackCohortReport, ServerReport, SessionOutcome,
+    run_cohort, run_playback_cohort, PlaybackCohortReport, ServerReport, SessionOutcome,
 };
 pub use state::GameState;
 pub use supervisor::{

@@ -367,6 +367,7 @@ impl SupervisorConfig {
         if let LadderPolicy::SloDriven(slo) = &self.ladder {
             slo.validate()?;
         }
+        self.retry.validate().map_err(|e| bad(&e.to_string()))?;
         self.breaker.validate().map_err(|e| bad(&e.to_string()))?;
         Ok(())
     }
@@ -385,8 +386,8 @@ impl SupervisorConfig {
 
 /// What the supervisor runs per admitted session: a factory producing a
 /// bot for session `i`, incarnation `r` (0 on first start, `k` after the
-/// `k`-th restart). Must be `Sync` to match the plain-server factories.
-pub type SupervisedBotFactory = dyn Fn(usize, u32) -> Box<dyn Bot> + Sync;
+/// `k`-th restart).
+pub type SupervisedBotFactory = dyn Fn(usize, u32) -> Box<dyn Bot>;
 
 /// Flush attempts per durable checkpoint write. A lost flush is
 /// detected (the store reports it, like a failed fsync) and retried with
@@ -1680,6 +1681,16 @@ mod tests {
                     wait_target_ms: f64::NAN,
                     ..SloLadderConfig::default()
                 }),
+                ..SupervisorConfig::default()
+            },
+            // A negative retry deadline would run the warm phase's
+            // simulated clock backwards.
+            SupervisorConfig {
+                retry: RetryPolicy {
+                    base_timeout_ms: -1e6,
+                    max_timeout_ms: -1e6,
+                    ..RetryPolicy::default()
+                },
                 ..SupervisorConfig::default()
             },
         ];

@@ -260,11 +260,10 @@ fn cohorts() -> Vec<u64> {
             30,
             50,
         )
-        .unwrap()
     });
     let (video, table) = clip(14);
     let cache = Arc::new(GopCache::new(16));
-    let (playback, _) = run_playback_cohort(video, &table, cache, 9, 2, 25, &Obs::noop()).unwrap();
+    let (playback, _) = run_playback_cohort(video, &table, cache, 9, 2, 25, &Obs::noop());
     vec![fnv(&format!("{bots:?}")), fnv(&format!("{playback:?}"))]
 }
 

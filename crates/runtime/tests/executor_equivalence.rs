@@ -1,42 +1,44 @@
 //! The cooperative executor's one promise: scheduling is invisible.
 //!
-//! `run_cohort` / `run_playback_cohort*` now step their sessions on the
-//! deterministic executor (seeded run queue, yield-at-fetch state
-//! machines, per-tick batched prewarm), while the original
-//! thread-per-session implementations survive as `*_threaded` reference
-//! paths. These properties pin the two byte-identical on the same
-//! inputs: per-session outcomes, frame/switch accounting, learning
-//! aggregates, and the full obs exports (traces, series, counters) —
-//! including cohorts with a panicking bot, whose failure must stay
-//! isolated to its own row on both paths.
+//! `run_cohort` and `run_playback_cohort` step every session of a cohort
+//! on the deterministic executor (seeded run-queue shuffle, yield-at-fetch
+//! state machines, per-tick batched prewarm). The reference is the
+//! simplest reading of that promise: each session played alone, in index
+//! order, with a panic caught as that session's own row. These properties
+//! pin the two byte-identical on the same inputs: per-session outcomes,
+//! frame/switch accounting, learning aggregates, and the full obs exports
+//! (traces, series, counters), including sessions whose bot or bot
+//! factory panics, whose bot errors, and whose first GOP is corrupt.
 //!
 //! One accounting difference by design: the executor prewarms a tick's
 //! GOPs through the shared cache before sessions serve, so cache
 //! *lookup* counts (hits) differ while *decode* work does not (with a
-//! full-capacity cache both paths decode every distinct GOP exactly
+//! full-capacity cache both sides decode every distinct good GOP exactly
 //! once, so `frames_decoded` is compared too; reuse hit counts are
 //! not). The executor reports its scheduling only through
 //! `ExecutorStats`, so the four exports are compared whole.
 
-use std::panic;
+use std::panic::{self, catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vgbl_media::cache::GopCache;
 use vgbl_media::codec::{EncodeConfig, EncodedVideo, Encoder};
 use vgbl_media::color::Rgb;
 use vgbl_media::synth::{FootageSpec, ShotSpec};
 use vgbl_media::timeline::FrameRate;
-use vgbl_media::SegmentTable;
-use vgbl_obs::Obs;
+use vgbl_media::{SegmentId, SegmentTable};
+use vgbl_obs::{Obs, SeriesSpec, SpanRecorder};
 use vgbl_runtime::bot::{Bot, GuidedBot, RandomBot};
 use vgbl_runtime::engine::{GameSession, SessionConfig};
 use vgbl_runtime::fixtures::{fix_the_computer, FRAME};
 use vgbl_runtime::input::InputEvent;
 use vgbl_runtime::{
-    run_cohort, run_cohort_threaded, run_playback_cohort, run_playback_cohort_threaded,
-    PlaybackCohortReport, Result, RuntimeError,
+    run_cohort, run_playback_cohort, run_session, DecodeReuse, LearningReport,
+    PlaybackCohortReport, PlaybackController, PlaybackStats, Result, RuntimeError, ServerReport,
+    SessionOutcome,
 };
 
 /// A bot that panics the moment it is asked for input.
@@ -52,6 +54,149 @@ struct ErrBot;
 impl Bot for ErrBot {
     fn next_input(&mut self, _session: &GameSession) -> Result<Option<InputEvent>> {
         Err(RuntimeError::UnknownScenario("err-bot".into()))
+    }
+}
+
+/// A session's result, or the reason its `Failed` row carries: the
+/// error's display, or the panic message as the executor words it.
+fn row<T>(run: std::thread::Result<Result<T>>) -> std::result::Result<T, String> {
+    match run {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(payload) => Err(match payload.downcast_ref::<&str>() {
+            Some(s) => format!("panic: {s}"),
+            None => match payload.downcast_ref::<String>() {
+                Some(s) => format!("panic: {s}"),
+                None => "panic: <non-string payload>".into(),
+            },
+        }),
+    }
+}
+
+/// The bot-cohort reference: `run_session` for each index alone, in
+/// order, under `catch_unwind`, folded into a [`ServerReport`].
+fn bot_sessions_played_alone(
+    config: &SessionConfig,
+    n_sessions: usize,
+    factory: &dyn Fn(usize) -> Box<dyn Bot>,
+    max_steps: usize,
+    tick_ms: u64,
+) -> ServerReport {
+    let graph = Arc::new(fix_the_computer());
+    let mut outcomes = Vec::with_capacity(n_sessions);
+    let mut runs = Vec::new();
+    for i in 0..n_sessions {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let mut bot = factory(i);
+            let (graph, config) = (graph.clone(), config.clone());
+            run_session(graph, config, &mut *bot, max_steps, tick_ms, &Obs::noop(), "")
+        }));
+        match row(run) {
+            Ok(r) => {
+                outcomes.push(SessionOutcome::Completed);
+                runs.push(r);
+            }
+            Err(reason) => outcomes.push(SessionOutcome::Failed { reason }),
+        }
+    }
+    ServerReport {
+        sessions: runs.len(),
+        failed: outcomes.iter().filter(|o| o.is_failed()).count(),
+        outcomes,
+        learning: LearningReport::from_sessions(runs.iter().map(|r| (&r.log, r.state.score))),
+        total_steps: runs.iter().map(|r| r.steps).sum(),
+    }
+}
+
+/// One seeded playback walk; deterministic in `(i, n_segments, steps)`.
+/// The trace timeline is the session's simulated playhead (33 ms per
+/// rendered step), never wall time.
+#[allow(clippy::too_many_arguments)]
+fn play_one_session(
+    video: Arc<EncodedVideo>,
+    segments: SegmentTable,
+    cache: Arc<GopCache>,
+    i: usize,
+    n_segments: u32,
+    steps: usize,
+    obs: &Obs,
+    rec: &mut SpanRecorder,
+) -> Result<PlaybackStats> {
+    let initial = SegmentId(i as u32 % n_segments);
+    let mut player =
+        PlaybackController::shared(video, segments, initial, cache)?.with_obs(obs);
+    // Cohort-wide series on the session playhead. Bin accumulation is
+    // commutative and the horizon (16 s) dwarfs any session playhead,
+    // so the export is byte-identical however workers interleave.
+    let renders = obs.series(SeriesSpec::counter("server.renders", 250_000, 64));
+    let switches = obs.series(SeriesSpec::counter("server.switches", 250_000, 64));
+    let mut rng = StdRng::seed_from_u64(0x9e37_79b9 ^ i as u64);
+    let mut now_us: u64 = 0;
+    rec.enter_with("session", i as u64, now_us);
+    rec.event("render", 0, now_us);
+    player.current_frame()?;
+    for step in 0..steps {
+        if rng.gen_range(0..4u32) == 0 {
+            let target = SegmentId(rng.gen_range(0..n_segments));
+            rec.event("switch", target.0 as u64, now_us);
+            switches.record(now_us, 1);
+            player.switch_segment(target)?;
+        } else {
+            player.advance_ms(33);
+            now_us = now_us.saturating_add(33_000);
+            rec.event("render", step as u64 + 1, now_us);
+            renders.record(now_us, 1);
+            player.current_frame()?;
+        }
+    }
+    rec.exit(now_us);
+    Ok(player.stats())
+}
+
+/// The playback-cohort reference: [`play_one_session`] for each index
+/// alone, in order, through one shared 64-GOP cache. Each recorder lives
+/// outside the unwind boundary, so a panicking walk still exports its
+/// spans, and the two `cohort.*` counters tally the rows.
+fn playback_sessions_played_alone(
+    video: &Arc<EncodedVideo>,
+    segments: &SegmentTable,
+    n_sessions: usize,
+    steps: usize,
+    obs: &Obs,
+) -> PlaybackCohortReport {
+    let n_segments = segments.len().max(1) as u32;
+    let cache = Arc::new(GopCache::new(64));
+    let completed_ctr = obs.counter("cohort.sessions_completed", &[("pillar", "runtime")]);
+    let failed_ctr = obs.counter("cohort.sessions_failed", &[("pillar", "runtime")]);
+    let mut outcomes = Vec::with_capacity(n_sessions);
+    let mut stats = Vec::new();
+    for i in 0..n_sessions {
+        let mut rec = obs.recorder(format!("playback-{i:04}"));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let (video, segments, cache) = (video.clone(), segments.clone(), cache.clone());
+            play_one_session(video, segments, cache, i, n_segments, steps, obs, &mut rec)
+        }));
+        obs.attach(rec);
+        match row(run) {
+            Ok(s) => {
+                completed_ctr.inc();
+                outcomes.push(SessionOutcome::Completed);
+                stats.push(s);
+            }
+            Err(reason) => {
+                failed_ctr.inc();
+                outcomes.push(SessionOutcome::Failed { reason });
+            }
+        }
+    }
+    PlaybackCohortReport {
+        sessions: stats.len(),
+        failed: outcomes.iter().filter(|o| o.is_failed()).count(),
+        outcomes,
+        frames_served: stats.iter().map(|s| s.frames_served).sum(),
+        frames_decoded: stats.iter().map(|s| s.frames_decoded).sum(),
+        switches: stats.iter().map(|s| s.switches).sum(),
+        reuse: DecodeReuse::from_cache(&cache.stats()),
     }
 }
 
@@ -102,22 +247,28 @@ fn playback_fingerprint(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // The executor-scheduled playback cohort is byte-identical to the
-    // thread-per-session reference on the same inputs: every outcome
-    // row, every aggregate, and all four obs export formats. The caches
-    // are fresh and full-capacity on both sides, so decode totals match
-    // even though the executor front-loads them into batch prewarms.
+    // The executor-scheduled playback cohort is byte-identical to its
+    // sessions played alone: every outcome row, every aggregate, and all
+    // four obs export formats. With the first keyframe truncated, the
+    // sessions that start on it fail and the rest conceal, so `Failed`
+    // rows are compared too. Both caches are fresh and hold 64 GOPs, so
+    // decode totals match even though the executor front-loads them
+    // into batch prewarms.
     #[test]
-    fn playback_cohort_matches_threaded_reference(
-        n_sessions in 1usize..10,
+    fn playback_cohort_matches_sessions_played_alone(
+        n_sessions in 1usize..=64,
         steps in 0usize..32,
         workers in 1usize..5,
         shot_len in 6usize..16,
         noise_seed in any::<u64>(),
+        truncate_first_keyframe in any::<bool>(),
     ) {
-        let (video, table) = clip(shot_len, noise_seed);
+        let (mut video, table) = clip(shot_len, noise_seed);
+        if truncate_first_keyframe {
+            Arc::make_mut(&mut video).frames[0].data.truncate(3);
+        }
         let obs_exec = Obs::recording();
-        let exec = run_playback_cohort(
+        let (exec, _) = run_playback_cohort(
             video.clone(),
             &table,
             Arc::new(GopCache::new(64)),
@@ -125,45 +276,37 @@ proptest! {
             workers,
             steps,
             &obs_exec,
-        )
-        .unwrap()
-        .0;
-        let obs_thr = Obs::recording();
-        let threaded = run_playback_cohort_threaded(
-            video,
-            &table,
-            Arc::new(GopCache::new(64)),
-            n_sessions,
-            workers,
-            steps,
-            &obs_thr,
-        )
-        .unwrap();
+        );
+        let obs_alone = Obs::recording();
+        let alone = playback_sessions_played_alone(&video, &table, n_sessions, steps, &obs_alone);
         prop_assert_eq!(
             playback_fingerprint(&exec, &obs_exec),
-            playback_fingerprint(&threaded, &obs_thr)
+            playback_fingerprint(&alone, &obs_alone)
         );
     }
 
-    // Bot cohorts agree row-for-row with the reference, including a
-    // session that panics mid-cohort and one that errors: both paths
-    // isolate them to their own `Failed` rows and aggregate the rest
-    // identically (learning report, total steps, outcome order).
+    // Bot cohorts agree row for row with their sessions played alone,
+    // including a session whose bot panics, one whose bot factory
+    // panics, and one whose bot errors: each becomes its own `Failed`
+    // row, and the rest aggregate identically (learning report, total
+    // steps, outcome order).
     #[test]
-    fn bot_cohort_matches_threaded_reference(
+    fn bot_cohort_matches_sessions_played_alone(
         n_sessions in 1usize..24,
-        workers in 1usize..5,
         panic_at in 0usize..24,
+        factory_panic_at in 0usize..24,
         err_at in 0usize..24,
         max_steps in 10usize..80,
     ) {
         let factory = move |i: usize| -> Box<dyn Bot> {
-            if i == panic_at {
+            if i == factory_panic_at {
+                panic!("deliberately broken bot factory");
+            } else if i == panic_at {
                 Box::new(PanicBot)
             } else if i == err_at {
                 Box::new(ErrBot)
             } else if i.is_multiple_of(3) {
-                Box::new(RandomBot::new(rand::rngs::StdRng::seed_from_u64(i as u64)))
+                Box::new(RandomBot::new(StdRng::seed_from_u64(i as u64)))
             } else {
                 Box::new(GuidedBot::new())
             }
@@ -180,19 +323,8 @@ proptest! {
             max_steps,
             50,
         );
-        let threaded = run_cohort_threaded(
-            Arc::new(fix_the_computer()),
-            config,
-            n_sessions,
-            workers,
-            &factory,
-            max_steps,
-            50,
-        );
+        let alone = bot_sessions_played_alone(&config, n_sessions, &factory, max_steps, 50);
         panic::set_hook(prev);
-        prop_assert_eq!(
-            format!("{:?}", exec.unwrap()),
-            format!("{:?}", threaded.unwrap())
-        );
+        prop_assert_eq!(format!("{exec:?}"), format!("{alone:?}"));
     }
 }

@@ -173,7 +173,13 @@ impl RetryPolicy {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    /// Validates the policy.
+    ///
+    /// # Errors
+    /// [`StreamError::InvalidLink`] when the base timeout is not positive,
+    /// the backoff factor is below 1, the timeout cap is below the base
+    /// timeout, the jitter is negative, or any of them is non-finite.
+    pub fn validate(&self) -> Result<()> {
         let bad = |msg: &str| StreamError::InvalidLink(msg.into());
         if !self.base_timeout_ms.is_finite() || self.base_timeout_ms <= 0.0 {
             return Err(bad("retry base timeout must be positive"));

@@ -2,8 +2,8 @@
 //!
 //! The paper motivates the platform with distance learning — many
 //! students playing the same course concurrently. This example hosts a
-//! mixed cohort (guided and random players) on the parallel session
-//! server and prints the learning report an instructor would read
+//! mixed cohort (guided and random players) on the cohort server and
+//! prints the learning report an instructor would read
 //! (completion, decisions, knowledge delivery, rewards — §3.2/§3.3).
 //!
 //! Run with: `cargo run --example classroom_analytics`
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "guided students",
             Box::new(|_i: usize| Box::new(GuidedBot::new()) as Box<dyn Bot>)
-                as Box<dyn Fn(usize) -> Box<dyn Bot> + Sync>,
+                as Box<dyn Fn(usize) -> Box<dyn Bot>>,
         ),
         (
             "random clickers",
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }),
         ),
     ] {
-        let report = run_cohort(graph.clone(), config.clone(), 40, &*factory, 120, 50)?;
+        let report = run_cohort(graph.clone(), config.clone(), 40, &*factory, 120, 50);
         let l = &report.learning;
         println!("cohort: {label} ({} sessions)", report.sessions);
         println!("  completion    : {:>5.1}%", l.completion_rate() * 100.0);
