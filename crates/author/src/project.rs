@@ -58,10 +58,13 @@ impl Project {
                 video.len()
             )));
         }
-        if (video.width, video.height) != self.frame_size {
+        if (video.width(), video.height()) != self.frame_size {
             return Err(AuthorError::Integrity(format!(
                 "video is {}x{}, project expects {}x{}",
-                video.width, video.height, self.frame_size.0, self.frame_size.1
+                video.width(),
+                video.height(),
+                self.frame_size.0,
+                self.frame_size.1
             )));
         }
         self.video = Some(video);
@@ -82,7 +85,7 @@ impl Project {
                     "segment table no longer matches video length".into(),
                 ));
             }
-            if (video.width, video.height) != self.frame_size {
+            if (video.width(), video.height()) != self.frame_size {
                 return Err(AuthorError::Integrity("video dimensions drifted".into()));
             }
         }

@@ -1,7 +1,7 @@
 //! EXP-11 — shared decoded-GOP cache: seek latency and cohort decode
 //! reuse as functions of cache capacity and session count.
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! * `exp11_seek` — warm vs cold cached-seek latency at several cache
 //!   capacities (capacity 0 = cache disabled, the pre-cache baseline).
@@ -10,6 +10,8 @@
 //!   configuration.
 //! * `exp11_contention` — many threads hammering the same hot GOP, the
 //!   worst case for the sharded locks and miss coalescing.
+//! * `player_setup` — one learner's player set-up over a shared video,
+//!   at two stream lengths.
 
 use std::sync::Arc;
 
@@ -17,8 +19,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use vgbl::media::cache::{GopCache, VideoId};
 use vgbl::media::codec::{Decoder, Quality};
 use vgbl::media::seek::seek_cached;
+use vgbl::media::{SegmentId, SegmentTable};
 use vgbl::obs::Obs;
 use vgbl::runtime::server::run_playback_cohort;
+use vgbl::runtime::PlaybackController;
 use vgbl_bench::{bench_footage, encode, table_for};
 
 fn bench(c: &mut Criterion) {
@@ -112,6 +116,31 @@ fn bench(c: &mut Criterion) {
                 });
             },
         );
+    }
+    group.finish();
+
+    // Player set-up over one shared video: the video memoises its
+    // fingerprint, so set-up time should stay flat as the stream grows.
+    // One segment per video, so only the stream's length varies.
+    let mut group = c.benchmark_group("player_setup");
+    group.sample_size(20);
+    for shots in [1usize, 8] {
+        let footage = bench_footage(96, 64, shots, 3);
+        let video = Arc::new(encode(&footage, 15, Quality::High, 2));
+        let table = SegmentTable::from_cuts(video.len(), &[]).expect("one segment");
+        let cache = Arc::new(GopCache::new(8));
+        VideoId::of(&video); // what the first player would do
+        group.bench_with_input(BenchmarkId::new("shots", shots), &shots, |b, _| {
+            b.iter(|| {
+                PlaybackController::shared(
+                    video.clone(),
+                    table.clone(),
+                    SegmentId(0),
+                    cache.clone(),
+                )
+                .expect("player builds")
+            });
+        });
     }
     group.finish();
 }

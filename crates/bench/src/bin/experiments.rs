@@ -170,7 +170,7 @@ fn exp2() {
     .expect("renders");
     let v = encode(&static_footage, 30, Quality::High, 1);
     let skips = v
-        .frames
+        .frames()
         .iter()
         .filter(|f| f.kind == vgbl::media::FrameKind::Skip)
         .count();
@@ -743,7 +743,7 @@ fn exp12() {
     let keyframe = keys[2];
     let gop_end = keys.get(3).copied().unwrap_or(video.len());
     let mut damaged = video.clone();
-    for b in &mut damaged.frames[keyframe].data {
+    for b in &mut damaged.frames_mut()[keyframe].data {
         *b ^= 0xA5;
     }
     let mut player = PlaybackController::new(damaged, table.clone(), SegmentId(0))

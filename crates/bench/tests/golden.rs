@@ -22,7 +22,7 @@ const PINNED: [(&str, u64); 4] = [
 
 fn encoded_checksum(video: &EncodedVideo) -> u64 {
     let mut h = FNV_OFFSET;
-    for f in &video.frames {
+    for f in video.frames() {
         let kind = match f.kind {
             FrameKind::Intra => 0u8,
             FrameKind::Inter => 1,

@@ -40,9 +40,11 @@ use crate::Result;
 
 /// Identity of an encoded video inside the cache key space.
 ///
-/// [`EncodedVideo`] carries no identity of its own, so cache consumers
-/// fingerprint the stream once ([`VideoId::of`]) or assign ids out-of-band
-/// ([`VideoId::from_raw`]) when they already know streams are distinct.
+/// [`VideoId::of`] fingerprints a stream's content and memoises the id
+/// on the [`EncodedVideo`] value, so every clone of the value, and every
+/// `Arc` that shares it, reads it back in O(1). Consumers that already
+/// know their streams are distinct can assign ids out-of-band
+/// ([`VideoId::from_raw`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VideoId(u64);
 
@@ -52,29 +54,37 @@ impl VideoId {
         VideoId(id)
     }
 
-    /// Deterministic fingerprint of a stream: FNV-1a over the header
-    /// fields and every frame's kind and payload. Two equal streams get
-    /// equal ids; payload hashing makes collisions between different
-    /// streams vanishingly unlikely.
+    /// Deterministic fingerprint of a stream: FNV-1a over its width,
+    /// height, GOP length, quality and frame count, then each frame's
+    /// kind and payload. It does not cover the frame rate, which decoding
+    /// does not use. Two equal streams get equal ids; payload hashing
+    /// makes collisions between different streams vanishingly unlikely.
+    ///
+    /// The first call on a value hashes every payload byte and memoises
+    /// the result on it; later calls, on it or on its clones, return the
+    /// memo. [`EncodedVideo::frames_mut`], the one way to change a video,
+    /// forgets the memo, so the next call fingerprints the new content.
     pub fn of(video: &EncodedVideo) -> VideoId {
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| h = fnv1a_extend(h, bytes);
-        eat(&video.width.to_le_bytes());
-        eat(&video.height.to_le_bytes());
-        eat(&video.gop.to_le_bytes());
-        eat(&[video.quality.to_u8()]);
-        eat(&(video.frames.len() as u64).to_le_bytes());
-        for f in &video.frames {
-            let kind = match f.kind {
-                crate::container::FrameKind::Intra => 0u8,
-                crate::container::FrameKind::Inter => 1,
-                crate::container::FrameKind::Skip => 2,
-            };
-            eat(&[kind]);
-            eat(&(f.data.len() as u32).to_le_bytes());
-            eat(&f.data);
-        }
-        VideoId(h)
+        *video.id_memo().get_or_init(|| {
+            let mut h = FNV_OFFSET;
+            let mut eat = |bytes: &[u8]| h = fnv1a_extend(h, bytes);
+            eat(&video.width().to_le_bytes());
+            eat(&video.height().to_le_bytes());
+            eat(&video.gop().to_le_bytes());
+            eat(&[video.quality().to_u8()]);
+            eat(&(video.len() as u64).to_le_bytes());
+            for f in video.frames() {
+                let kind = match f.kind {
+                    crate::container::FrameKind::Intra => 0u8,
+                    crate::container::FrameKind::Inter => 1,
+                    crate::container::FrameKind::Skip => 2,
+                };
+                eat(&[kind]);
+                eat(&(f.data.len() as u32).to_le_bytes());
+                eat(&f.data);
+            }
+            VideoId(h)
+        })
     }
 
     /// The raw id value.
@@ -316,13 +326,17 @@ impl GopCache {
         self.evictions.store(0, Ordering::Relaxed);
     }
 
-    /// Drops every resident entry (counters are kept).
+    /// Drops every resident entry (counters are kept). Decodes in flight
+    /// stay: a lookup after the clear still coalesces onto one, and its
+    /// frames land in the cache when it finishes.
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut s = shard.lock();
-            let dropped: Vec<Slot> = s.entries.drain().map(|(_, v)| v).collect();
+            let (pending, dropped): (Vec<_>, Vec<_>) =
+                s.entries.drain().partition(|(_, slot)| matches!(slot, Slot::Pending(_)));
+            s.entries.extend(pending);
             drop(s);
-            for slot in dropped {
+            for (_, slot) in dropped {
                 if let Slot::Ready { frames, .. } = slot {
                     self.resident_bytes.fetch_sub(frames_bytes(&frames), Ordering::Relaxed);
                     self.resident_gops.fetch_sub(1, Ordering::Relaxed);
@@ -623,6 +637,121 @@ mod tests {
         assert_eq!(s.misses, 3, "counters survive clear");
         cache.reset_counters();
         assert_eq!(cache.stats().misses, 0);
+    }
+
+    #[test]
+    fn clear_during_inflight_decode_keeps_residency_exact() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+        let ev = encoded(4, 8);
+        let id = VideoId::of(&ev);
+        let cache = GopCache::new(4);
+        let dec = Decoder::default();
+        let decodes = AtomicUsize::new(0);
+        let decode = || {
+            decodes.fetch_add(1, Ordering::Relaxed);
+            dec.decode_gop_at(&ev, 0)
+        };
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (a, b) = std::thread::scope(|s| {
+            let cache_ref = &cache;
+            // Leader: blocks inside its decode until released.
+            let leader = s.spawn(move || {
+                cache_ref.get_or_decode(id, 0, move || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    decode()
+                })
+            });
+            started_rx.recv().unwrap();
+            cache.clear();
+            let second = s.spawn(|| cache.get_or_decode(id, 0, decode));
+            // Release the leader once the second lookup has joined the
+            // in-flight slot (map + leader + follower = 3 references),
+            // or has finished without joining it.
+            let key = GopKey { video: id, keyframe: 0 };
+            let sidx = (key.shard_hash() % cache.shards.len() as u64) as usize;
+            while !second.is_finished() {
+                let shard = cache.shards[sidx].lock();
+                if let Some(Slot::Pending(w)) = shard.entries.get(&key) {
+                    if Arc::strong_count(w) >= 3 {
+                        break;
+                    }
+                }
+                drop(shard);
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+            (leader.join().unwrap().unwrap(), second.join().unwrap().unwrap())
+        });
+        let entries: usize = cache.shards.iter().map(|sh| sh.lock().entries.len()).sum();
+        let s = cache.stats();
+        assert_eq!(
+            (s.resident_gops, entries, s.misses),
+            (1, 1, 1),
+            "resident_gops {} but {} entries (misses {})",
+            s.resident_gops,
+            entries,
+            s.misses
+        );
+        assert_eq!(s.resident_bytes, 4 * 24 * 16 * 3);
+        assert_eq!(s.hits, 1, "the lookup after the clear coalesced");
+        assert_eq!(decodes.load(Ordering::Relaxed), 1);
+        assert!(Arc::ptr_eq(&a, &b), "both lookups share one decode");
+    }
+
+    #[test]
+    fn video_id_is_pinned() {
+        // Sessionbench pre-fills its caches under these ids, so a change
+        // to the fingerprint's input must fail here, not miss there.
+        assert_eq!(VideoId::of(&encoded(4, 12)).raw(), 0x7a4f_68ac_f71a_6e59);
+    }
+
+    /// A copy of `video` built from its parts, with no memoised id.
+    fn rebuilt(video: &EncodedVideo) -> EncodedVideo {
+        EncodedVideo::new(
+            video.width(),
+            video.height(),
+            video.rate(),
+            video.quality(),
+            video.gop(),
+            video.frames().to_vec(),
+        )
+    }
+
+    #[test]
+    fn frames_mut_forgets_the_memoised_id() {
+        let mut ev = encoded(4, 12);
+        let before = VideoId::of(&ev);
+        let victim = ev.frames().iter().position(|f| !f.data.is_empty()).unwrap();
+        ev.frames_mut()[victim].data[0] ^= 0x01;
+        let after = VideoId::of(&ev);
+        assert_ne!(after, before, "a changed payload byte changes the id");
+        assert_eq!(after, VideoId::of(&rebuilt(&ev)), "the id of the changed content");
+    }
+
+    #[test]
+    fn clones_carry_the_memoised_id() {
+        let ev = encoded(4, 12);
+        let id = VideoId::of(&ev);
+        let mut copy = ev.clone();
+        assert_eq!(copy.id_memo().get(), Some(&id), "the clone needs no rehash");
+        assert_eq!(VideoId::of(&copy), id);
+        // Each value owns its memo: changing the clone leaves the source's.
+        copy.frames_mut().pop();
+        assert_ne!(VideoId::of(&copy), id);
+        assert_eq!(VideoId::of(&ev), id);
+    }
+
+    #[test]
+    fn the_memo_never_shows_in_eq_or_debug() {
+        let memoised = encoded(4, 12);
+        VideoId::of(&memoised);
+        let fresh = rebuilt(&memoised);
+        assert!(fresh.id_memo().get().is_none());
+        assert_eq!(memoised, fresh);
+        assert_eq!(format!("{memoised:?}"), format!("{fresh:?}"));
     }
 
     #[test]

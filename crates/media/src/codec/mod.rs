@@ -18,6 +18,7 @@
 pub mod bitio;
 pub mod plane;
 
+use crate::cache::VideoId;
 use crate::container::FrameKind;
 use crate::error::MediaError;
 use crate::frame::Frame;
@@ -26,6 +27,7 @@ use crate::timeline::FrameRate;
 use crate::Result;
 use bitio::{BitReader, BitWriter};
 use plane::Plane;
+use std::sync::OnceLock;
 
 /// Macroblock edge for motion estimation.
 const MB: u32 = 16;
@@ -110,23 +112,108 @@ pub struct EncodedFrame {
 }
 
 /// A fully encoded video, the in-memory form of a `VGV` file.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The header is fixed at construction, and the frames change only
+/// through [`EncodedVideo::frames_mut`]. That keeps the memoised content
+/// fingerprint ([`VideoId::of`]) true for the value it is stored on:
+/// clones carry it, and `frames_mut` forgets it.
+#[derive(Clone)]
 pub struct EncodedVideo {
-    /// Frame width in pixels.
-    pub width: u32,
-    /// Frame height in pixels.
-    pub height: u32,
-    /// Frame rate.
-    pub rate: FrameRate,
-    /// Quality the stream was encoded at.
-    pub quality: Quality,
-    /// Keyframe interval used by the encoder.
-    pub gop: u32,
-    /// The encoded frames in presentation order.
-    pub frames: Vec<EncodedFrame>,
+    width: u32,
+    height: u32,
+    rate: FrameRate,
+    quality: Quality,
+    gop: u32,
+    frames: Vec<EncodedFrame>,
+    /// [`VideoId::of`] of this value, filled on first use.
+    id: OnceLock<VideoId>,
+}
+
+impl PartialEq for EncodedVideo {
+    /// Compares content only: a memoised and an unmemoised copy are equal.
+    fn eq(&self, other: &EncodedVideo) -> bool {
+        self.width == other.width
+            && self.height == other.height
+            && self.rate == other.rate
+            && self.quality == other.quality
+            && self.gop == other.gop
+            && self.frames == other.frames
+    }
+}
+
+impl std::fmt::Debug for EncodedVideo {
+    /// Prints content only, so whether the id is memoised never shows.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodedVideo")
+            .field("width", &self.width)
+            .field("height", &self.height)
+            .field("rate", &self.rate)
+            .field("quality", &self.quality)
+            .field("gop", &self.gop)
+            .field("frames", &self.frames)
+            .finish()
+    }
 }
 
 impl EncodedVideo {
+    /// Builds a video from its header fields and its frames in
+    /// presentation order. Nothing is checked here: the decoder rejects
+    /// a stream it cannot decode.
+    pub fn new(
+        width: u32,
+        height: u32,
+        rate: FrameRate,
+        quality: Quality,
+        gop: u32,
+        frames: Vec<EncodedFrame>,
+    ) -> EncodedVideo {
+        EncodedVideo { width, height, rate, quality, gop, frames, id: OnceLock::new() }
+    }
+
+    /// Frame width in pixels.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Frame height in pixels.
+    pub fn height(&self) -> u32 {
+        self.height
+    }
+
+    /// Frame rate.
+    pub fn rate(&self) -> FrameRate {
+        self.rate
+    }
+
+    /// Quality the stream was encoded at.
+    pub fn quality(&self) -> Quality {
+        self.quality
+    }
+
+    /// Keyframe interval used by the encoder.
+    pub fn gop(&self) -> u32 {
+        self.gop
+    }
+
+    /// The encoded frames in presentation order.
+    pub fn frames(&self) -> &[EncodedFrame] {
+        &self.frames
+    }
+
+    /// The frames, for changing the stream in place: the one way to
+    /// alter a video after it is built. It forgets the memoised
+    /// [`VideoId`], so the next [`VideoId::of`] fingerprints the changed
+    /// content.
+    pub fn frames_mut(&mut self) -> &mut Vec<EncodedFrame> {
+        self.id.take();
+        &mut self.frames
+    }
+
+    /// The memo cell [`VideoId::of`] fills.
+    pub(crate) fn id_memo(&self) -> &OnceLock<VideoId> {
+        &self.id
+    }
+
     /// Number of frames.
     pub fn len(&self) -> usize {
         self.frames.len()
@@ -623,14 +710,7 @@ impl Encoder {
         for g in encoded_gops {
             out.extend(g);
         }
-        Ok(EncodedVideo {
-            width: w,
-            height: h,
-            rate,
-            quality: self.config.quality,
-            gop: gop as u32,
-            frames: out,
-        })
+        Ok(EncodedVideo::new(w, h, rate, self.config.quality, gop as u32, out))
     }
 }
 
@@ -1073,7 +1153,7 @@ mod tests {
             .encode(&frames, FrameRate::FPS30)
             .unwrap();
         // Corrupt: drop the leading keyframe.
-        ev.frames.remove(0);
+        ev.frames_mut().remove(0);
         assert!(Decoder::default().decode_all(&ev).is_err());
     }
 
@@ -1083,7 +1163,7 @@ mod tests {
         let mut ev = Encoder::new(EncodeConfig { gop: 3, ..Default::default() })
             .encode(&frames, FrameRate::FPS30)
             .unwrap();
-        ev.frames[0].data.truncate(4);
+        ev.frames_mut()[0].data.truncate(4);
         assert!(Decoder::default().decode_all(&ev).is_err());
     }
 
@@ -1338,8 +1418,7 @@ mod skip_tests {
         let mut ev = Encoder::new(EncodeConfig { gop: 4, ..Default::default() })
             .encode(&frames, FrameRate::FPS30)
             .unwrap();
-        ev.frames[0].kind = FrameKind::Skip;
-        ev.frames[0].data.clear();
+        ev.frames_mut()[0] = EncodedFrame { kind: FrameKind::Skip, data: Vec::new() };
         assert!(Decoder::default().decode_all(&ev).is_err());
     }
 }

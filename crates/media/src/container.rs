@@ -95,7 +95,7 @@ impl GopChecksums {
         let mut sums = Vec::with_capacity(keyframes.len());
         for (i, &start) in keyframes.iter().enumerate() {
             let end = keyframes.get(i + 1).copied().unwrap_or(video.len());
-            sums.push((start, payload_checksum(&video.frames[start..end])));
+            sums.push((start, payload_checksum(&video.frames()[start..end])));
         }
         GopChecksums { sums }
     }
@@ -124,10 +124,10 @@ impl GopChecksums {
             .map_err(|_| MediaError::FrameOutOfRange { index: keyframe, len: video.len() })?;
         let (start, expect) = self.sums[idx];
         let end = self.sums.get(idx + 1).map(|&(k, _)| k).unwrap_or(video.len());
-        if video.frames.len() < end {
+        if video.len() < end {
             return Err(MediaError::CorruptGop { keyframe });
         }
-        if payload_checksum(&video.frames[start..end]) != expect {
+        if payload_checksum(&video.frames()[start..end]) != expect {
             return Err(MediaError::CorruptGop { keyframe });
         }
         Ok(())
@@ -141,23 +141,23 @@ pub struct ContainerWriter;
 impl ContainerWriter {
     /// Writes `video` to a fresh byte vector.
     pub fn write(video: &EncodedVideo) -> Vec<u8> {
-        let table_len = video.frames.len() * 5;
-        let payload_len: usize = video.frames.iter().map(|f| f.data.len()).sum();
+        let table_len = video.len() * 5;
+        let payload_len = video.payload_bytes();
         let mut out = Vec::with_capacity(4 + 25 + table_len + payload_len + 8);
         out.put_slice(&MAGIC);
-        out.put_u32_le(video.width);
-        out.put_u32_le(video.height);
-        out.put_u32_le(video.rate.num());
-        out.put_u32_le(video.rate.den());
-        out.put_u8(video.quality.to_u8());
-        out.put_u32_le(video.gop);
-        out.put_u32_le(video.frames.len() as u32);
-        for f in &video.frames {
+        out.put_u32_le(video.width());
+        out.put_u32_le(video.height());
+        out.put_u32_le(video.rate().num());
+        out.put_u32_le(video.rate().den());
+        out.put_u8(video.quality().to_u8());
+        out.put_u32_le(video.gop());
+        out.put_u32_le(video.len() as u32);
+        for f in video.frames() {
             out.put_u8(f.kind.to_u8());
             out.put_u32_le(f.data.len() as u32);
         }
         let mut checksum = FNV_OFFSET;
-        for f in &video.frames {
+        for f in video.frames() {
             out.put_slice(&f.data);
             checksum = fnv1a_extend(checksum, &f.data);
         }
@@ -242,14 +242,14 @@ impl ContainerReader {
                 return Err(err("stream does not start with a keyframe"));
             }
         }
-        Ok(EncodedVideo {
-            width: header.width,
-            height: header.height,
-            rate: header.rate,
-            quality: header.quality,
-            gop: header.gop,
+        Ok(EncodedVideo::new(
+            header.width,
+            header.height,
+            header.rate,
+            header.quality,
+            header.gop,
             frames,
-        })
+        ))
     }
 }
 
@@ -292,7 +292,7 @@ mod tests {
         assert_eq!(h.height, 24);
         assert_eq!(h.frame_count, 6);
         assert_eq!(h.gop, 3);
-        assert_eq!(h.quality, ev.quality);
+        assert_eq!(h.quality, ev.quality());
         assert_eq!(h.rate, FrameRate::FPS30);
     }
 
@@ -364,14 +364,7 @@ mod tests {
 
     #[test]
     fn empty_stream_roundtrips() {
-        let ev = EncodedVideo {
-            width: 16,
-            height: 16,
-            rate: FrameRate::FPS24,
-            quality: Quality::Medium,
-            gop: 10,
-            frames: Vec::new(),
-        };
+        let ev = EncodedVideo::new(16, 16, FrameRate::FPS24, Quality::Medium, 10, Vec::new());
         let bytes = ContainerWriter::write(&ev);
         let back = ContainerReader::read(&bytes).unwrap();
         assert_eq!(ev, back);
@@ -392,8 +385,8 @@ mod tests {
         ));
         // Flip a payload bit in the second GOP: only it reports damage.
         let mut bad = ev.clone();
-        let victim = (3..6).find(|&i| !bad.frames[i].data.is_empty()).unwrap();
-        bad.frames[victim].data[0] ^= 0x40;
+        let victim = (3..6).find(|&i| !bad.frames()[i].data.is_empty()).unwrap();
+        bad.frames_mut()[victim].data[0] ^= 0x40;
         assert!(sums.verify(&bad, 0).is_ok());
         assert!(matches!(
             sums.verify(&bad, 3),
@@ -406,7 +399,7 @@ mod tests {
         let ev = encoded();
         let bytes = ContainerWriter::write(&ev);
         let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        assert_eq!(payload_checksum(&ev.frames), stored);
+        assert_eq!(payload_checksum(ev.frames()), stored);
     }
 
     #[test]

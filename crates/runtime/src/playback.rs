@@ -116,6 +116,10 @@ impl PlaybackController {
     /// Creates a player whose decoded GOPs live in `cache`, which may be
     /// shared with any number of other players of any videos (entries
     /// are keyed by content fingerprint, so distinct streams coexist).
+    ///
+    /// Set-up is O(1) in the stream's size: the fingerprint is memoised
+    /// on the video ([`VideoId::of`]), so the players of one shared
+    /// `Arc<EncodedVideo>` hash its payload at most once between them.
     pub fn shared(
         video: Arc<EncodedVideo>,
         segments: SegmentTable,
@@ -255,12 +259,7 @@ impl PlaybackController {
     /// the playhead clock at the end of time instead of wrapping it
     /// back to zero (the same shape as the `deadline_ms` overflow fix).
     pub fn advance_ms(&mut self, ms: u64) -> usize {
-        let frame_us = self
-            .video
-            .rate
-            .frame_duration()
-            .as_micros()
-            .max(1);
+        let frame_us = self.video.rate().frame_duration().as_micros().max(1);
         let advance_us = ms.saturating_mul(1000);
         self.played_us = self.played_us.saturating_add(advance_us);
         let total_us = self.residual_us.saturating_add(advance_us);
@@ -471,9 +470,9 @@ mod tests {
     /// of its first non-empty frame.
     fn corrupt_gop(video: &mut EncodedVideo, keyframe: usize, gop: usize) {
         let victim = (keyframe..keyframe + gop)
-            .find(|&i| !video.frames[i].data.is_empty())
+            .find(|&i| !video.frames()[i].data.is_empty())
             .expect("GOP has payload bytes");
-        for b in &mut video.frames[victim].data {
+        for b in &mut video.frames_mut()[victim].data {
             *b ^= 0xA5;
         }
     }
@@ -526,9 +525,9 @@ mod tests {
         // Truncate a payload so the bitstream itself fails to decode —
         // the detection path when no pristine checksums are available.
         let victim = (5..10)
-            .find(|&i| video.frames[i].data.len() > 2)
+            .find(|&i| video.frames()[i].data.len() > 2)
             .expect("inter frame with payload");
-        video.frames[victim].data.truncate(1);
+        video.frames_mut()[victim].data.truncate(1);
         let mut p = PlaybackController::new(video, table, SegmentId(0)).unwrap();
         p.current_frame().unwrap(); // intact first GOP
         let decoded_before = p.stats().frames_decoded;
@@ -575,6 +574,48 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.misses, 6);
         assert!(s.hits > 100, "hits {}", s.hits);
+    }
+
+    #[test]
+    fn damaged_copy_of_a_memoised_video_never_serves_pristine_frames() {
+        // Noisy footage, so no two frames are equal and a concealed frame
+        // cannot pass for a pristine one.
+        let footage = FootageSpec {
+            width: 32,
+            height: 24,
+            rate: FrameRate::FPS30,
+            shots: vec![ShotSpec { noise: 24, ..ShotSpec::plain(10, Rgb::new(200, 40, 40)) }],
+            noise_seed: 9,
+        }
+        .render()
+        .unwrap();
+        let video = Encoder::new(EncodeConfig { gop: 5, ..Default::default() })
+            .encode(&footage.frames, footage.rate)
+            .unwrap();
+        let table = SegmentTable::from_cuts(10, &[]).unwrap();
+        let pristine = Arc::new(video);
+        VideoId::of(&pristine);
+        let mut damaged = Arc::clone(&pristine);
+        corrupt_gop(Arc::make_mut(&mut damaged), 5, 5);
+        let cache = Arc::new(GopCache::new(16));
+        let player = |video: &Arc<EncodedVideo>| {
+            PlaybackController::shared(video.clone(), table.clone(), SegmentId(0), cache.clone())
+                .unwrap()
+        };
+        // Warm the shared cache with both pristine GOPs.
+        let mut warm = player(&pristine);
+        for cursor in 0..10 {
+            warm.cursor = cursor;
+            warm.current_frame().unwrap();
+        }
+        let pristine_gop = Decoder::default().decode_gop_at(&pristine, 5).unwrap();
+        let mut p = player(&damaged);
+        p.current_frame().unwrap(); // intact first GOP, to freeze on
+        for cursor in 5..10 {
+            p.cursor = cursor;
+            let served = p.current_frame().unwrap();
+            assert_ne!(served, pristine_gop[cursor - 5], "frame {cursor} of the damaged GOP");
+        }
     }
 
     #[test]

@@ -784,8 +784,8 @@ mod tests {
         // fail; everyone else completes (concealing if their walk
         // wanders into the bad GOP later).
         let mut broken = (*video).clone();
-        assert!(broken.frames[0].data.len() > 4, "keyframe has a payload");
-        broken.frames[0].data.truncate(3);
+        assert!(broken.frames()[0].data.len() > 4, "keyframe has a payload");
+        broken.frames_mut()[0].data.truncate(3);
         let (report, _) = run_playback_cohort(
             Arc::new(broken),
             &table,

@@ -265,7 +265,7 @@ proptest! {
     ) {
         let (mut video, table) = clip(shot_len, noise_seed);
         if truncate_first_keyframe {
-            Arc::make_mut(&mut video).frames[0].data.truncate(3);
+            Arc::make_mut(&mut video).frames_mut()[0].data.truncate(3);
         }
         let obs_exec = Obs::recording();
         let (exec, _) = run_playback_cohort(

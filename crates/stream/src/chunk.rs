@@ -73,13 +73,13 @@ impl ChunkMap {
         let mut chunks = Vec::with_capacity(keyframes.len());
         for (i, &start) in keyframes.iter().enumerate() {
             let end = keyframes.get(i + 1).copied().unwrap_or(video.len());
-            let bytes: usize = video.frames[start..end].iter().map(|f| f.data.len()).sum();
+            let gop = &video.frames()[start..end];
             chunks.push(ChunkInfo {
                 id: ChunkId::from_index(i)?,
                 start_frame: start,
                 end_frame: end,
-                bytes,
-                checksum: vgbl_media::payload_checksum(&video.frames[start..end]),
+                bytes: gop.iter().map(|f| f.data.len()).sum(),
+                checksum: vgbl_media::payload_checksum(gop),
             });
         }
         let mut per_segment = Vec::with_capacity(segments.len());
@@ -91,7 +91,7 @@ impl ChunkMap {
                 .collect();
             per_segment.push(ids);
         }
-        let frame_ms = 1000.0 / video.rate.as_f64();
+        let frame_ms = 1000.0 / video.rate().as_f64();
         // Header: magic + fixed fields + frame table (5 bytes/frame).
         let header_bytes = 29 + video.len() * 5 + 8;
         Ok(ChunkMap { chunks, per_segment, frame_ms, header_bytes })
@@ -224,7 +224,7 @@ mod tests {
         for c in map.chunks() {
             assert_eq!(
                 c.checksum,
-                vgbl_media::payload_checksum(&video.frames[c.start_frame..c.end_frame])
+                vgbl_media::payload_checksum(&video.frames()[c.start_frame..c.end_frame])
             );
         }
         // Distinct GOPs of real content should not collide.
@@ -250,8 +250,8 @@ mod tests {
 
     #[test]
     fn empty_video_rejected() {
-        let (video, table) = build(5);
-        let empty = EncodedVideo { frames: Vec::new(), ..video };
+        let (mut empty, table) = build(5);
+        empty.frames_mut().clear();
         assert!(matches!(ChunkMap::build(&empty, &table), Err(StreamError::EmptyVideo)));
     }
 }

@@ -138,7 +138,7 @@ proptest! {
             let info = fx.map.get(*id).unwrap();
             prop_assert_eq!(
                 vgbl_media::payload_checksum(
-                    &fx.video.frames[info.start_frame..info.end_frame]
+                    &fx.video.frames()[info.start_frame..info.end_frame]
                 ),
                 info.checksum,
                 "delivered chunk {:?} is byte-identical to the original",

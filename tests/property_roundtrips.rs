@@ -117,7 +117,7 @@ proptest! {
         // decode path, which must answer Ok or Err, never panic.
         let mut resealed = video;
         let mut at = payload_at.index(resealed.payload_bytes().max(1));
-        for frame in &mut resealed.frames {
+        for frame in resealed.frames_mut() {
             if at < frame.data.len() {
                 frame.data[at] ^= flip_bits;
                 break;
