@@ -43,7 +43,7 @@ use vgbl_obs::{
 use vgbl_scene::SceneGraph;
 use vgbl_stream::{BreakerStats, CircuitBreaker, FaultPlan};
 
-use crate::analytics::{LatencySummary, LogEvent, SessionLog};
+use crate::analytics::{LatencySummary, LogEvent};
 use crate::bot::{drive, Bot};
 use crate::engine::{GameSession, SessionConfig};
 use crate::error::RuntimeError;
@@ -261,11 +261,13 @@ pub struct FleetConfig {
     /// Seed for ring points and key hashing.
     pub router_seed: u64,
     /// Every shard runs this supervisor configuration: queue capacity,
-    /// slots, degradation ladder, checkpoint cadence, breaker.
+    /// slots, degradation ladder, checkpoint cadence, breaker. Its
+    /// `store` must be `None`: the fleet's store is [`FleetConfig::store`].
     pub shard: SupervisorConfig,
     /// Scheduled shard-level faults.
     pub faults: Vec<ShardFault>,
-    /// Controller cadence (burn checks, drains, autoscaling).
+    /// Controller cadence (burn checks, drains, autoscaling); at least
+    /// 0.001 ms, the simulated clock's resolution.
     pub control_interval_ms: f64,
     /// Drain policy.
     pub migration: MigrationConfig,
@@ -315,8 +317,15 @@ impl FleetConfig {
             return Err(invalid("vnodes must be >= 1"));
         }
         self.shard.validate()?;
-        if !self.control_interval_ms.is_finite() || self.control_interval_ms <= 0.0 {
-            return Err(invalid("control_interval_ms must be positive and finite"));
+        if self.shard.store.is_some() {
+            return Err(invalid(
+                "the fleet's durable store is fleet-wide; set FleetConfig::store, not shard.store",
+            ));
+        }
+        // The simulated clock ticks in microseconds: a shorter interval
+        // rounds the next control tick back onto the current one forever.
+        if !self.control_interval_ms.is_finite() || self.control_interval_ms < 0.001 {
+            return Err(invalid("control_interval_ms must be finite and at least 0.001 (1 µs)"));
         }
         if !self.migration.burn_threshold.is_finite() || self.migration.burn_threshold <= 0.0 {
             return Err(invalid("migration burn_threshold must be positive and finite"));
@@ -728,34 +737,16 @@ enum EvKind {
     Control,
 }
 
-/// A committed segment boundary — everything needed to resume the
-/// session elsewhere (or after a crash) bit-identically.
-#[derive(Debug, Clone)]
-pub(crate) struct Commit {
-    /// Decision step at the boundary.
-    step: usize,
-    /// Segments done (synthetic workloads).
-    synth_done: u32,
-    /// Digest of the checkpoint text (synthetic: a seeded stand-in).
-    digest: u64,
-    /// The checkpoint itself (engine workloads).
-    pub(crate) save: Option<SaveGame>,
-    /// Full log up to the boundary, prefix-stitched across incarnations.
-    log: Option<SessionLog>,
-}
-
 /// Live engine state for one in-flight session incarnation.
 pub(crate) struct EngineRun {
     pub(crate) session: GameSession,
     bot: Box<dyn Bot>,
     pub(crate) steps: usize,
-    /// Log of prior incarnations; `session.log()` holds only the tail.
-    log_prefix: Option<SessionLog>,
 }
 
 impl EngineRun {
-    /// Starts incarnation `generation` of session `id`: restored from
-    /// `from` when it carries a checkpoint, fresh otherwise. First
+    /// Starts incarnation `generation` of session `id`: restored from the
+    /// payload of `from` when there is one, fresh otherwise. First
     /// dispatch, migration hand-in, cold resume and panic restart all
     /// build their engine here.
     fn start(
@@ -764,31 +755,25 @@ impl EngineRun {
         factory: &SupervisedBotFactory,
         id: usize,
         generation: u32,
-        from: Option<&Commit>,
+        from: Option<&CheckpointRecord>,
     ) -> Result<EngineRun> {
-        let restored = from.and_then(|c| c.save.as_ref().map(|save| (c, save)));
-        let (session, steps, log_prefix) = match restored {
-            Some((c, save)) => (
-                GameSession::restore_checkpoint(graph.clone(), config.clone(), save)?,
-                c.step,
-                c.log.clone(),
-            ),
-            None => (GameSession::new(graph.clone(), config.clone())?.0, 0, None),
+        let (session, steps) = match from {
+            Some(c) => {
+                let save = parse_payload(&c.payload)?;
+                let session = GameSession::restore_checkpoint(graph.clone(), config.clone(), &save)?;
+                (session, c.step as usize)
+            }
+            None => (GameSession::new(graph.clone(), config.clone())?.0, 0),
         };
-        Ok(EngineRun { session, bot: factory(id, generation), steps, log_prefix })
+        Ok(EngineRun { session, bot: factory(id, generation), steps })
     }
+}
 
-    /// The session's full log: prior incarnations' prefix plus this one.
-    pub(crate) fn full_log(&self) -> SessionLog {
-        let Some(prefix) = &self.log_prefix else {
-            return self.session.log().clone();
-        };
-        let mut log = prefix.clone();
-        for e in self.session.log().events() {
-            log.push(e.clone());
-        }
-        log
-    }
+/// The save an engine commit's payload holds.
+fn parse_payload(payload: &[u8]) -> Result<SaveGame> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| RuntimeError::CorruptSave("checkpoint payload is not UTF-8".into()))?;
+    SaveGame::from_text(text)
 }
 
 /// One in-flight session: on a shard slot, or in a supervisor slot.
@@ -807,7 +792,8 @@ pub(crate) struct Running {
     /// The session was rebuilt from the durable store after a
     /// whole-fleet power loss (its in-memory lineage was destroyed).
     cold: bool,
-    pub(crate) committed: Option<Commit>,
+    /// The latest boundary commit: the record the store keeps.
+    pub(crate) committed: Option<CheckpointRecord>,
     /// Engine workloads only; `None` until the next segment (re)builds
     /// it.
     pub(crate) engine: Option<EngineRun>,
@@ -848,27 +834,22 @@ pub(crate) enum SegEnd {
     GaveUp { restarts: u32, reason: String },
 }
 
-/// Resume payload carried by a migrated session through the
-/// destination's queue.
-struct ResumeState {
-    committed: Commit,
-    generation: u32,
-    restarts: u32,
-    hops: u32,
-    was_degraded: bool,
-    /// Index into the migrations ledger; `None` for cold restarts,
-    /// which are audited in the [`DurabilityReport`] instead.
-    mig_idx: Option<usize>,
-    /// Resuming from the durable store after a whole-fleet power loss.
-    cold: bool,
-}
-
-/// A queued admission on one shard.
+/// A queued admission on one shard. A handed-off session carries its
+/// `Running` (engine dropped) and the index of its migration record,
+/// `None` for a cold resume, which is audited in the
+/// [`DurabilityReport`] instead.
 struct QEntry {
     id: usize,
     arrival_ms: f64,
     mode: ServiceMode,
-    resume: Option<ResumeState>,
+    resume: Option<(Running, Option<usize>)>,
+}
+
+impl QEntry {
+    /// The session's causal generation while it waits.
+    fn generation(&self) -> u32 {
+        self.resume.as_ref().map_or(0, |(r, _)| r.generation)
+    }
 }
 
 /// One shard slot. `token` invalidates in-flight [`EvKind::Seg`] events
@@ -1036,7 +1017,7 @@ pub(crate) fn advance_segment(
                         }
                         r.restarts += 1;
                         r.generation += 1;
-                        r.resumed_at_step = r.committed.as_ref().map_or(0, |c| c.step);
+                        r.resumed_at_step = r.committed.as_ref().map_or(0, |c| c.step as usize);
                         elapsed += restart_backoff(cfg.restart_backoff_ms, r.restarts);
                         r.engine = None;
                     }
@@ -1046,56 +1027,44 @@ pub(crate) fn advance_segment(
     }
 }
 
-/// The boundary commit: checkpoint + digest + stitched log for engine
-/// workloads, a seeded digest stand-in for synthetic ones.
-pub(crate) fn make_commit(seed: u64, cfg: &SupervisorConfig, r: &Running) -> Commit {
-    match &r.engine {
-        Some(er) => {
-            let save = er.session.checkpoint();
-            Commit {
-                step: er.steps,
-                synth_done: r.synth_done,
-                digest: save.digest(),
-                save: Some(save),
-                log: Some(er.full_log()),
-            }
-        }
-        None => Commit {
-            step: r.synth_done as usize * cfg.checkpoint_every,
-            synth_done: r.synth_done,
-            digest: mix(seed ^ SALT_SYNTH ^ mix(r.id as u64) ^ mix(u64::from(r.synth_done))),
-            save: None,
-            log: None,
-        },
-    }
-}
-
-/// The durable record of commit `c` for `(session, generation)`: its
-/// payload is the checkpoint text stamped with that generation's trace
-/// context under `seed` (the trace line is digest-exempt, so `c.digest`
-/// still matches), or the segment counter for synthetic workloads.
-pub(crate) fn checkpoint_record(
+/// The boundary commit of `r`: the record the store keeps, built here
+/// and nowhere else. An engine session's payload is its checkpoint text,
+/// rendered once for both the payload and the digest; when `stamped`
+/// (a store is configured) it carries the trace context of
+/// `(r.id, r.generation)` under `seed`, whose line is digest-exempt. A
+/// synthetic session's payload is its segment counter, with a seeded
+/// digest stand-in.
+pub(crate) fn make_commit(
     seed: u64,
-    session: usize,
-    generation: u32,
-    c: &Commit,
+    cfg: &SupervisorConfig,
+    r: &Running,
+    stamped: bool,
 ) -> CheckpointRecord {
-    let ctx = TraceCtx::mint(seed, session as u64, generation);
-    let payload = match &c.save {
-        Some(save) => {
-            let mut save = save.clone();
-            save.trace = Some((ctx.trace_id, ctx.span_id));
-            save.to_text().into_bytes()
+    let stamp = stamped.then(|| {
+        let ctx = TraceCtx::mint(seed, r.id as u64, r.generation);
+        (ctx.trace_id, ctx.span_id)
+    });
+    let (step, digest, payload) = match &r.engine {
+        Some(er) => {
+            let mut save = er.session.checkpoint();
+            save.trace = stamp;
+            let (text, digest) = save.render();
+            (er.steps, digest, text.into_bytes())
         }
-        None => c.synth_done.to_le_bytes().to_vec(),
+        None => (
+            r.synth_done as usize * cfg.checkpoint_every,
+            mix(seed ^ SALT_SYNTH ^ mix(r.id as u64) ^ mix(u64::from(r.synth_done))),
+            r.synth_done.to_le_bytes().to_vec(),
+        ),
     };
+    let (trace_id, span_id) = stamp.unwrap_or((0, 0));
     CheckpointRecord {
-        session: session as u64,
-        step: c.step as u64,
-        generation,
-        digest: c.digest,
-        trace_id: ctx.trace_id,
-        span_id: ctx.span_id,
+        session: r.id as u64,
+        step: step as u64,
+        generation: r.generation,
+        digest,
+        trace_id,
+        span_id,
         payload,
     }
 }
@@ -1123,10 +1092,10 @@ struct FleetSim<'a> {
     down_streak: u32,
     /// The durable checkpoint store, when configured.
     store: Option<DurableStore>,
-    /// Simulator-side ground truth: session id -> (latest acknowledged
-    /// WAL seq, its digest). Used after a power loss to distinguish "no
-    /// acked checkpoint" sheds from provably-corrupt-record losses.
-    acked: BTreeMap<usize, (u64, u64)>,
+    /// Simulator-side ground truth: session id -> latest acknowledged
+    /// WAL seq. Used after a power loss to distinguish "no acked
+    /// checkpoint" sheds from provably-corrupt-record losses.
+    acked: BTreeMap<usize, u64>,
     scrubs: Vec<ScrubReport>,
     cold_resumed: usize,
     stale_resumes: usize,
@@ -1249,12 +1218,11 @@ impl FleetSim<'_> {
         };
         let Some(mode) = verdict else {
             let reason = match &q.resume {
-                Some(rs) if rs.cold => "cold restart target queue full",
+                Some((r, _)) if r.cold => "cold restart target queue full",
                 Some(_) => "migration target queue full",
                 None => "queue full",
             };
-            let generation = q.resume.as_ref().map_or(0, |rs| rs.generation);
-            self.shed(Some(i), q.id, generation, now, reason);
+            self.shed(Some(i), q.id, q.generation(), now, reason);
             return;
         };
         q.mode = mode;
@@ -1282,8 +1250,7 @@ impl FleetSim<'_> {
             };
             let wait = start - q.arrival_ms;
             if wait > cfg.shard.queue_deadline_ms {
-                let generation = q.resume.as_ref().map_or(0, |rs| rs.generation);
-                self.shed(Some(i), q.id, generation, start, "queue deadline exceeded");
+                self.shed(Some(i), q.id, q.generation(), start, "queue deadline exceeded");
                 continue;
             }
             self.queue_waits.push(wait);
@@ -1299,9 +1266,8 @@ impl FleetSim<'_> {
     fn dispatch(&mut self, i: usize, slot_idx: usize, q: QEntry, start: f64) {
         let cfg = self.cfg;
         let wl = self.workload;
+        let gen_now = q.generation();
         let QEntry { id, mode, resume, .. } = q;
-        let mig_idx = resume.as_ref().and_then(|rs| rs.mig_idx);
-        let gen_now = resume.as_ref().map_or(0, |rs| rs.generation);
         let sid = self.shards[i].id;
         self.shards[i].admitted += 1;
         self.journey_event(
@@ -1312,39 +1278,31 @@ impl FleetSim<'_> {
             JourneyEventKind::Admitted { generation: gen_now },
         );
         let mut t = start;
-        let mut r = Running::fresh(id, mode);
-        match resume {
-            None if mode == ServiceMode::Full => {
-                let s = &mut self.shards[i];
-                let w = warm_session(id, t, &cfg.shard, &s.faults, &mut s.breaker);
-                t = w.t;
-                s.warm_attempted += w.attempted;
-                s.warm_skipped += w.skipped;
-            }
-            None => {
-                self.shards[i].degraded += 1;
-                r.was_degraded = true;
-                self.journey_event(
-                    Some(sid),
-                    start,
-                    id,
-                    gen_now,
-                    JourneyEventKind::DegradedTo { mode: format!("{mode:?}") },
-                );
-            }
-            Some(rs) => {
-                self.shards[i].migrated_in += 1;
-                r.was_degraded = rs.was_degraded;
-                r.generation = rs.generation;
-                r.restarts = rs.restarts;
-                r.hops = rs.hops;
-                r.cold = rs.cold;
-                r.resumed_at_step = rs.committed.step;
-                r.synth_done = rs.committed.synth_done;
-                r.committed = Some(rs.committed);
-            }
+        let resuming = resume.is_some();
+        let (mut r, mig_idx) = resume.unwrap_or_else(|| (Running::fresh(id, mode), None));
+        r.mode = mode;
+        if resuming {
+            self.shards[i].migrated_in += 1;
+            r.resumed_at_step = r.committed.as_ref().map_or(0, |c| c.step as usize);
+        } else if mode == ServiceMode::Full {
+            let s = &mut self.shards[i];
+            let w = warm_session(id, t, &cfg.shard, &s.faults, &mut s.breaker);
+            t = w.t;
+            s.warm_attempted += w.attempted;
+            s.warm_skipped += w.skipped;
+        } else {
+            self.shards[i].degraded += 1;
+            r.was_degraded = true;
+            self.journey_event(
+                Some(sid),
+                start,
+                id,
+                gen_now,
+                JourneyEventKind::DegradedTo { mode: format!("{mode:?}") },
+            );
         }
         if let FleetWorkload::Synthetic { mean_segments } = wl {
+            r.synth_done = (r.resumed_at_step / cfg.shard.checkpoint_every) as u32;
             r.synth_total = synth_total(cfg.router_seed, *mean_segments, id);
         }
         // A fresh session's engine is built by `advance_segment`, inside
@@ -1359,17 +1317,17 @@ impl FleetSim<'_> {
             match built {
                 Ok(Ok(er)) => {
                     if let Some(mi) = mig_idx {
-                        let save = c.save.as_ref().expect("engine commits carry a save");
                         self.migrations[mi].handoff_ok =
                             Some(er.session.checkpoint().digest() == c.digest);
                         let shadow = catch_unwind(AssertUnwindSafe(|| {
+                            let save = parse_payload(&c.payload)?;
                             let mut bot = factory(id, generation);
                             resume_session(
                                 graph.clone(),
                                 config.clone(),
-                                save,
+                                &save,
                                 &mut *bot,
-                                c.step,
+                                c.step as usize,
                                 cfg.shard.max_steps,
                                 cfg.shard.tick_ms,
                             )
@@ -1457,12 +1415,14 @@ impl FleetSim<'_> {
         };
         match end {
             SegEnd::Boundary => {
-                r.committed = Some(make_commit(self.cfg.router_seed, &self.cfg.shard, &r));
+                let stamped = self.store.is_some();
+                r.committed =
+                    Some(make_commit(self.cfg.router_seed, &self.cfg.shard, &r, stamped));
                 let seq = self.persist_commit(&r);
                 if self.journey.is_enabled() {
                     let (step, digest) = {
                         let c = r.committed.as_ref().expect("just committed");
-                        (c.step as u64, c.digest)
+                        (c.step, c.digest)
                     };
                     let sid = self.shards[i].id;
                     self.journey_event(
@@ -1565,7 +1525,8 @@ impl FleetSim<'_> {
 
     /// Hands a checkpointed session to the shard the router now picks.
     fn migrate(&mut self, from_idx: usize, mut r: Running, now: f64, reason: MigrationReason) {
-        let committed = r.committed.take().expect("migrate requires a committed checkpoint");
+        let c = r.committed.as_ref().expect("migrate requires a committed checkpoint");
+        let (step, digest) = (c.step, c.digest);
         let Some(dest) = self.router.route(r.id as u64) else {
             self.shed(Some(from_idx), r.id, r.generation, now, "no shard available for migration");
             return;
@@ -1583,9 +1544,9 @@ impl FleetSim<'_> {
             from: from_id,
             to: dest,
             at_ms: now,
-            resumed_at_step: committed.step,
+            resumed_at_step: step as usize,
             reason,
-            checkpoint_digest: committed.digest,
+            checkpoint_digest: digest,
             handoff_ok: None,
             verified: None,
             trace_id: hand.trace_id,
@@ -1596,7 +1557,7 @@ impl FleetSim<'_> {
             now,
             r.id,
             r.generation,
-            JourneyEventKind::MigratedOut { to: dest, resumed_at_step: committed.step as u64 },
+            JourneyEventKind::MigratedOut { to: dest, resumed_at_step: step },
         );
         self.journey_event(
             Some(dest),
@@ -1605,20 +1566,11 @@ impl FleetSim<'_> {
             r.generation + 1,
             JourneyEventKind::MigratedIn { from: from_id },
         );
-        let resume = ResumeState {
-            committed,
-            generation: r.generation + 1,
-            restarts: r.restarts,
-            hops: r.hops + 1,
-            was_degraded: r.was_degraded,
-            mig_idx: Some(mi),
-            cold: r.cold,
-        };
-        self.enqueue(
-            di,
-            QEntry { id: r.id, arrival_ms: now, mode: r.mode, resume: Some(resume) },
-            now,
-        );
+        r.engine = None;
+        r.generation += 1;
+        r.hops += 1;
+        let q = QEntry { id: r.id, arrival_ms: now, mode: r.mode, resume: Some((r, Some(mi))) };
+        self.enqueue(di, q, now);
     }
 
     fn on_fault(&mut self, fi: usize) {
@@ -1683,10 +1635,7 @@ impl FleetSim<'_> {
                     let di = self.sidx(dest).expect("routable shard exists");
                     self.enqueue(di, q, t_ms);
                 }
-                None => {
-                    let generation = q.resume.as_ref().map_or(0, |rs| rs.generation);
-                    self.shed(Some(i), q.id, generation, t_ms, "no shard available");
-                }
+                None => self.shed(Some(i), q.id, q.generation(), t_ms, "no shard available"),
             }
         }
     }
@@ -1698,11 +1647,10 @@ impl FleetSim<'_> {
     /// flush was not acknowledged).
     fn persist_commit(&mut self, r: &Running) -> Option<u64> {
         let store = self.store.as_mut()?;
-        let c = r.committed.as_ref().expect("persist follows make_commit");
-        let record = checkpoint_record(self.cfg.router_seed, r.id, r.generation, c);
-        let seq = persist_checkpoint(store, &record);
+        let record = r.committed.as_ref().expect("persist follows make_commit");
+        let seq = persist_checkpoint(store, record);
         if let Some(seq) = seq {
-            self.acked.insert(r.id, (seq, c.digest));
+            self.acked.insert(r.id, seq);
         }
         seq
     }
@@ -1733,7 +1681,7 @@ impl FleetSim<'_> {
                 }
             }
             for q in std::mem::take(&mut s.queue) {
-                hit.push((s.id, q.id, q.resume.as_ref().map_or(0, |rs| rs.generation)));
+                hit.push((s.id, q.id, q.generation()));
                 live.push(q.id);
             }
         }
@@ -1753,57 +1701,24 @@ impl FleetSim<'_> {
             return;
         };
         store.power_loss();
-        let recovery = store.recover();
+        let mut recovery = store.recover();
         self.scrubs.push(recovery.scrub.clone());
         // Phase 2: cold restart. Surviving shards reboot in place (the
         // ring is unchanged — crashed and retired shards stay off it).
         for id in live {
-            match recovery.sessions.get(&(id as u64)) {
+            match recovery.sessions.remove(&(id as u64)) {
                 Some(rc) => {
-                    let rec = &rc.record;
-                    let (rec_generation, rec_step, was_stale) = (rec.generation, rec.step, rc.stale);
-                    let commit = match SaveGame::from_text(
-                        std::str::from_utf8(&rec.payload).unwrap_or(""),
-                    ) {
-                        Ok(save) => Commit {
-                            step: rec.step as usize,
-                            synth_done: 0,
-                            digest: save.digest(),
-                            save: Some(save),
-                            // The log prefix lived in shard memory; it
-                            // is honestly gone after a power loss.
-                            log: None,
-                        },
-                        Err(_) => {
-                            // Synthetic payload: the segment counter.
-                            let mut b = [0u8; 4];
-                            let n = rec.payload.len().min(4);
-                            b[..n].copy_from_slice(&rec.payload[..n]);
-                            let synth_done = u32::from_le_bytes(b);
-                            Commit {
-                                step: rec.step as usize,
-                                synth_done,
-                                digest: rec.digest,
-                                save: None,
-                                log: None,
-                            }
-                        }
-                    };
                     self.cold_resumed += 1;
                     if rc.stale {
                         self.stale_resumes += 1;
                     }
-                    let resume = ResumeState {
-                        committed: commit,
-                        generation: rec.generation + 1,
-                        // Restart/hop counters lived in shard memory;
-                        // `cold` pins the outcome to Recovered anyway.
-                        restarts: 0,
-                        hops: 0,
-                        was_degraded: false,
-                        mig_idx: None,
-                        cold: true,
-                    };
+                    let from_step = rc.record.step;
+                    // Restart and hop counters lived in shard memory;
+                    // `cold` pins the outcome to Recovered anyway.
+                    let mut r = Running::fresh(id, ServiceMode::Full);
+                    r.generation = rc.record.generation + 1;
+                    r.cold = true;
+                    r.committed = Some(rc.record);
                     match self.router.route(id as u64) {
                         Some(dest) => {
                             // The resuming generation's identity is
@@ -1814,20 +1729,13 @@ impl FleetSim<'_> {
                                 Some(dest),
                                 t_ms,
                                 id,
-                                rec_generation + 1,
-                                JourneyEventKind::ColdResume { from_step: rec_step, stale: was_stale },
+                                r.generation,
+                                JourneyEventKind::ColdResume { from_step, stale: rc.stale },
                             );
                             let di = self.sidx(dest).expect("routable shard exists");
-                            self.enqueue(
-                                di,
-                                QEntry {
-                                    id,
-                                    arrival_ms: t_ms,
-                                    mode: ServiceMode::Full,
-                                    resume: Some(resume),
-                                },
-                                t_ms,
-                            );
+                            let mode = ServiceMode::Full;
+                            let q = QEntry { id, arrival_ms: t_ms, mode, resume: Some((r, None)) };
+                            self.enqueue(di, q, t_ms);
                         }
                         None => {
                             self.shed(None, id, 0, t_ms, "no shard available after power loss")
@@ -1835,7 +1743,7 @@ impl FleetSim<'_> {
                     }
                 }
                 None => match self.acked.get(&id) {
-                    Some(&(seq, _digest)) => {
+                    Some(&seq) => {
                         // The simulator acknowledged this checkpoint as
                         // durable, and the scrub could not produce it:
                         // attribute the loss to the exact corrupt
@@ -1876,10 +1784,7 @@ impl FleetSim<'_> {
                     let di = self.sidx(dest).expect("routable shard exists");
                     self.enqueue(di, q, t_ms);
                 }
-                None => {
-                    let generation = q.resume.as_ref().map_or(0, |rs| rs.generation);
-                    self.shed(Some(i), q.id, generation, t_ms, "no shard available");
-                }
+                None => self.shed(Some(i), q.id, q.generation(), t_ms, "no shard available"),
             }
         }
     }
@@ -2253,6 +2158,21 @@ mod tests {
         assert!(FleetConfig { control_interval_ms: 0.0, ..ok.clone() }.validate().is_err());
         let never = SupervisorConfig { checkpoint_every: 0, ..SupervisorConfig::default() };
         assert!(FleetConfig { shard: never, ..ok.clone() }.validate().is_err());
+        let workload = FleetWorkload::Synthetic { mean_segments: 2 };
+        let arrivals = ArrivalPlan::new(1, 10.0).unwrap();
+        // Below the clock's 1 µs resolution the control tick never
+        // advanced, and `run_fleet` never returned.
+        let sub_tick = FleetConfig { control_interval_ms: 1e-4, ..ok.clone() };
+        assert!(sub_tick.validate().is_err());
+        assert!(run_fleet(&workload, &sub_tick, 5, &arrivals).is_err());
+        // A per-shard store was silently ignored: no durability, no error.
+        let shard_store = SupervisorConfig {
+            store: Some(vgbl_store::StoreConfig::default()),
+            ..SupervisorConfig::default()
+        };
+        let ignored = FleetConfig { shard: shard_store, ..ok.clone() };
+        let err = ignored.validate().expect_err("a per-shard store is rejected");
+        assert!(err.to_string().contains("FleetConfig::store"), "{err}");
         // Every shard builds its breaker from this config: an invalid one
         // is an error up front, not a panic inside `run_fleet`.
         let no_window = SupervisorConfig {
@@ -2261,8 +2181,6 @@ mod tests {
         };
         let bad_breaker = FleetConfig { shard: no_window, ..ok.clone() };
         assert!(bad_breaker.validate().is_err());
-        let workload = FleetWorkload::Synthetic { mean_segments: 2 };
-        let arrivals = ArrivalPlan::new(1, 10.0).unwrap();
         assert!(run_fleet(&workload, &bad_breaker, 4, &arrivals).is_err());
         // The warm phase schedules its retries with this policy: a
         // negative deadline would run the simulated clock backwards.

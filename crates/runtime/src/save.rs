@@ -25,7 +25,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
-use vgbl_obs::hash::fnv1a;
+use vgbl_obs::hash::{fnv1a, fnv1a_extend};
 use vgbl_scene::SceneGraph;
 
 use crate::error::RuntimeError;
@@ -91,32 +91,35 @@ impl SaveGame {
         }
     }
 
-    /// FNV-1a digest of the canonical text serialisation. Two saves with
-    /// equal digests restore identical sessions, so the fleet verifies a
-    /// migration handoff (checkpoint → restore → checkpoint on the
-    /// destination shard) by digest equality instead of shipping the full
-    /// text into every [`crate::fleet::MigrationRecord`]. The `trace`
-    /// line is identity metadata, not state, so it is excluded: stamping
-    /// a checkpoint with its causal identity never perturbs handoff
+    /// FNV-1a digest of the canonical text serialisation, from the same
+    /// rendering as [`SaveGame::to_text`]. Two saves with equal digests
+    /// restore identical sessions, so the fleet verifies a migration
+    /// handoff (checkpoint → restore → checkpoint on the destination
+    /// shard) by digest equality instead of shipping the full text into
+    /// every [`crate::fleet::MigrationRecord`]. The `trace` line is
+    /// identity metadata, not state, so it is excluded: stamping a
+    /// checkpoint with its causal identity never perturbs handoff
     /// verification.
     pub fn digest(&self) -> u64 {
-        fnv1a(self.text(false).as_bytes())
+        self.render().1
     }
 
     /// Serialises to the text format.
     pub fn to_text(&self) -> String {
-        self.text(true)
+        self.render().0
     }
 
-    fn text(&self, with_trace: bool) -> String {
+    /// Renders the text format once, returning it with its digest: the
+    /// FNV-1a hash of the text around the `trace` line.
+    pub(crate) fn render(&self) -> (String, u64) {
         let mut out = String::with_capacity(256);
         out.push_str(&format!("vgbl-save {SAVE_VERSION}\n"));
         out.push_str(&format!("game {:016x}\n", self.game_hash));
-        if with_trace {
-            if let Some((trace_id, span_id)) = self.trace {
-                out.push_str(&format!("trace {trace_id:016x} {span_id:016x}\n"));
-            }
+        let head = out.len();
+        if let Some((trace_id, span_id)) = self.trace {
+            out.push_str(&format!("trace {trace_id:016x} {span_id:016x}\n"));
         }
+        let body = out.len();
         out.push_str(&format!("scenario {}\n", self.state.current_scenario));
         out.push_str(&format!("score {}\n", self.state.score));
         out.push_str(&format!(
@@ -150,7 +153,8 @@ impl SaveGame {
         for ms in &self.fired_timers {
             out.push_str(&format!("fired {ms}\n"));
         }
-        out
+        let digest = fnv1a_extend(fnv1a(&out.as_bytes()[..head]), &out.as_bytes()[body..]);
+        (out, digest)
     }
 
     /// Parses the text format.

@@ -72,9 +72,7 @@ use crate::bot::{drive, Bot, BotRun};
 use crate::engine::{GameSession, SessionConfig};
 use crate::error::RuntimeError;
 use crate::executor::EventQueue;
-use crate::fleet::{
-    advance_segment, checkpoint_record, make_commit, FleetWorkload, Running, SegEnd,
-};
+use crate::fleet::{advance_segment, make_commit, FleetWorkload, Running, SegEnd};
 use crate::save::SaveGame;
 use crate::server::{outcome_counts, SessionOutcome};
 use crate::Result;
@@ -924,7 +922,6 @@ impl Sim<'_> {
             SegEnd::Finished => {
                 let er = r.engine.as_ref().expect("a finished session keeps its engine");
                 t += er.steps as f64 * step_cost;
-                self.session_logs.push((er.full_log(), er.session.state().score));
                 self.total_steps += er.steps;
                 if r.restarts == 0 {
                     self.completed += 1;
@@ -974,17 +971,30 @@ impl Sim<'_> {
 
     /// Plays session `id` to its end: the fleet's segment runner, looped
     /// until it returns a terminal [`SegEnd`], committing at every
-    /// boundary. Returns the session, how it ended, and the text of the
-    /// checkpoint its last restart resumed from.
+    /// boundary. A finished session's log across incarnations goes to
+    /// the learning report. Returns the session, how it ended, and the
+    /// text of the checkpoint its last restart resumed from.
     fn play(&mut self, id: usize, mode: ServiceMode) -> (Running, SegEnd, Option<String>) {
         let mut r = Running::fresh(id, mode);
         let mut resumed_from = None;
+        // The log up to the latest boundary, and how many of the current
+        // incarnation's events it holds.
+        let mut log = SessionLog::new();
+        let mut logged = 0;
         loop {
             let restarts = r.restarts;
             let (_, end) = advance_segment(self.sup, &self.workload, &mut r);
             if r.restarts != restarts {
-                let save = r.committed.as_ref().and_then(|c| c.save.as_ref());
-                resumed_from = save.map(SaveGame::to_text);
+                resumed_from =
+                    r.committed.as_ref().map(|c| String::from_utf8_lossy(&c.payload).into_owned());
+                logged = 0;
+            }
+            if let (SegEnd::Boundary | SegEnd::Finished, Some(er)) = (&end, &r.engine) {
+                let events = er.session.log().events();
+                for e in &events[logged..] {
+                    log.push(e.clone());
+                }
+                logged = events.len();
             }
             match end {
                 SegEnd::Boundary => self.commit(&mut r),
@@ -993,12 +1003,14 @@ impl Sim<'_> {
                     // boundaries, the supervisor also checkpoints one
                     // that runs out of steps unfinished on a boundary.
                     let er = r.engine.as_ref().expect("a finished session keeps its engine");
+                    let score = er.session.state().score;
                     if er.steps == self.sup.max_steps
                         && er.steps.is_multiple_of(self.sup.checkpoint_every)
                         && !er.session.state().is_over()
                     {
                         self.commit(&mut r);
                     }
+                    self.session_logs.push((log, score));
                     return (r, SegEnd::Finished, resumed_from);
                 }
                 end => return (r, end, resumed_from),
@@ -1006,21 +1018,15 @@ impl Sim<'_> {
         }
     }
 
-    /// Commits `r` at its boundary. With a store set the commit is also
-    /// made durable, and the in-memory checkpoint carries the same causal
-    /// stamp as the durable one.
+    /// Commits `r` at its boundary. With a store set the commit carries
+    /// its causal stamp and is made durable.
     fn commit(&mut self, r: &mut Running) {
-        let mut c = make_commit(SUPERVISOR_TRACE_SEED, self.sup, r);
+        r.committed = Some(make_commit(SUPERVISOR_TRACE_SEED, self.sup, r, self.durable.is_some()));
         if let Some(d) = self.durable.as_mut() {
-            let record = checkpoint_record(SUPERVISOR_TRACE_SEED, r.id, r.generation, &c);
-            if let Some(save) = c.save.as_mut() {
-                save.trace = Some((record.trace_id, record.span_id));
-            }
             // Flushed as soon as it is taken: a later panic or a
             // whole-process loss cannot undo it.
-            persist_checkpoint(d, &record);
+            persist_checkpoint(d, r.committed.as_ref().expect("just committed"));
         }
-        r.committed = Some(c);
     }
 }
 
@@ -1405,8 +1411,11 @@ mod tests {
         let r = &report.recoveries[0];
         assert_eq!(r.session, 1);
         assert_eq!(r.resumed_at_step, 5);
-        let save = SaveGame::from_text(r.checkpoint.as_ref().expect("crashed past a checkpoint"))
-            .unwrap();
+        let text = r.checkpoint.as_ref().expect("crashed past a checkpoint");
+        // Only a durable checkpoint carries a causal stamp; without a
+        // store the recorded text is the plain checkpoint.
+        assert!(!text.contains("trace "), "no store, no trace line: {text}");
+        let save = SaveGame::from_text(text).unwrap();
         let mut bot = factory(1, 1);
         let replay = resume_session(
             graph,
@@ -1930,6 +1939,11 @@ mod tests {
             let text = std::str::from_utf8(&rc.record.payload).unwrap();
             let save = SaveGame::from_text(text).unwrap();
             assert_eq!(save.digest(), rc.record.digest, "payload digest survives the store");
+            assert_eq!(
+                save.trace,
+                Some((rc.record.trace_id, rc.record.span_id)),
+                "the payload is stamped with its own record's causal identity"
+            );
             let mut bot = GuidedBot::new();
             let run = resume_session(
                 graph.clone(),

@@ -11,10 +11,15 @@
 //! - **discrimination**: two saves differing in exactly one field
 //!   (including the PR 4 checkpoint-only `dialogue` and `fired` keys)
 //!   never share a digest.
+//!
+//! Generated saves carry a trace stamp about half the time: stamped
+//! text is what every durable checkpoint payload holds and every fleet
+//! restore parses.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use vgbl_obs::hash::fnv1a;
 use vgbl_runtime::save::SaveGame;
 use vgbl_runtime::{GameState, Inventory};
 
@@ -43,11 +48,12 @@ fn arb_save() -> impl Strategy<Value = SaveGame> {
         prop::collection::vec(name(), 0..3),
         prop::option::of((name(), 0u32..50)),
         prop::collection::btree_set(0u64..1_000_000, 0..4),
+        prop::option::of((any::<u64>(), any::<u64>())),
     );
     (state, extras).prop_map(
         |(
             (scenario, score, sclk, tclk, avatar, flags, visited, examined, ended),
-            (game_hash, items, rewards, dialogue, fired_timers),
+            (game_hash, items, rewards, dialogue, fired_timers, trace),
         )| {
             let mut state = GameState::new(scenario);
             state.score = score;
@@ -65,7 +71,7 @@ fn arb_save() -> impl Strategy<Value = SaveGame> {
             for r in &rewards {
                 inventory.award(r.clone());
             }
-            SaveGame { game_hash, state, inventory, dialogue, fired_timers, trace: None }
+            SaveGame { game_hash, state, inventory, dialogue, fired_timers, trace }
         },
     )
 }
@@ -147,7 +153,7 @@ proptest! {
     }
 
     // Digests are a pure function of content: independently-built equal
-    // saves digest equally.
+    // saves digest equally, and every one is FNV-1a of the untraced text.
     #[test]
     fn equal_saves_digest_equally(save in arb_save()) {
         let twin = SaveGame {
@@ -157,9 +163,11 @@ proptest! {
             dialogue: save.dialogue.clone(),
             fired_timers: save.fired_timers.iter().copied().collect::<BTreeSet<u64>>(),
             // A trace context is identity metadata, never state: the twin
-            // carrying one must digest identically to the bare original.
+            // carrying another one must digest identically to the original.
             trace: Some((save.game_hash ^ 0xABCD, 7)),
         };
         prop_assert_eq!(twin.digest(), save.digest());
+        let bare = SaveGame { trace: None, ..save.clone() };
+        prop_assert_eq!(fnv1a(bare.to_text().as_bytes()), save.digest());
     }
 }

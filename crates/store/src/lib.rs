@@ -230,7 +230,9 @@ impl DiskFaultPlan {
 /// to the store (the runtime puts canonical save-game text in it);
 /// `digest` is the caller's own payload digest, carried so recovery can
 /// hand back a record whose integrity the *caller* can re-verify
-/// end-to-end, independent of the store's checksums.
+/// end-to-end, independent of the store's checksums. The runtime keeps
+/// this same record in memory as a session's latest commit, so what it
+/// restores from is byte for byte what it persisted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointRecord {
     /// Stable session id (the fleet's routing key).
