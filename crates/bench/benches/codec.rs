@@ -1,5 +1,6 @@
 //! EXP-2 — codec encode/decode throughput vs quality preset, plus
-//! GOP-parallel encode scaling.
+//! GOP-parallel encode scaling, plus one encode at the shape of
+//! sessionbench's `author_import` import.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vgbl::media::codec::{Decoder, Quality};
@@ -44,6 +45,16 @@ fn bench(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+
+    // `author_import` encodes about 270 frames of 64x48 footage at Medium,
+    // GOP 15 and the default ±7 search on one worker; the encoder is
+    // nearly all of that workload's time.
+    let import = bench_footage(64, 48, 9, 7);
+    let mut group = c.benchmark_group("author_import_codec");
+    group.throughput(Throughput::Elements(import.len() as u64 * 64 * 48));
+    group.sample_size(10);
+    group.bench_function("encode", |b| b.iter(|| encode(&import, 15, Quality::Medium, 1)));
     group.finish();
 }
 

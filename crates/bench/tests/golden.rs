@@ -7,8 +7,14 @@
 //! changed the bitstream or the decoded RGB and must be rejected, not
 //! re-pinned. Re-pin only for a deliberate format change that says so
 //! in its commit message.
+//!
+//! `ODD_SIZE_PINNED` was pinned the same way, before the padded-reference
+//! motion search, the 16-wide SAD rows, the quantiser table and the
+//! accumulating bit writer. Its 72×40 frames end in partial macroblocks
+//! (8 columns and 8 rows), and its ±12 search reaches past every edge, so
+//! it covers the edge handling that the interior-only 96×64 pins miss.
 
-use vgbl::media::codec::{Decoder, EncodedVideo, Quality};
+use vgbl::media::codec::{Decoder, EncodeConfig, EncodedVideo, Encoder, Quality};
 use vgbl::media::FrameKind;
 use vgbl::obs::hash::{fnv1a_extend, FNV_OFFSET};
 use vgbl_bench::{bench_footage, encode};
@@ -19,6 +25,9 @@ const PINNED: [(&str, u64); 4] = [
     ("lossless_encoded", 0x4a5755c6b8bf3b8b),
     ("lossless_decoded", 0xdf0fb6fb43c05f24),
 ];
+
+const ODD_SIZE_PINNED: [(&str, u64); 2] =
+    [("low_odd_encoded", 0x5b9d8dc98055dc3b), ("low_odd_decoded", 0x119c493b708b1d85)];
 
 fn encoded_checksum(video: &EncodedVideo) -> u64 {
     let mut h = FNV_OFFSET;
@@ -58,6 +67,26 @@ fn golden_checksums() -> [(&'static str, u64); 4] {
 fn codec_output_is_byte_identical_to_pre_optimization_pin() {
     let now = golden_checksums();
     for ((pin_name, pin_sum), (name, sum)) in PINNED.iter().zip(now.iter()) {
+        assert_eq!(pin_name, name, "checksum order changed");
+        assert_eq!(
+            pin_sum, sum,
+            "{name} fingerprint moved: an optimization altered codec output"
+        );
+    }
+}
+
+#[test]
+fn odd_size_codec_output_is_byte_identical_to_pin() {
+    let footage = bench_footage(72, 40, 3, 42);
+    let config = EncodeConfig { quality: Quality::Low, gop: 6, threads: 1, search_range: 12 };
+    let video = Encoder::new(config)
+        .encode(&footage.frames, footage.rate)
+        .expect("odd-size footage encodes");
+    let now = [
+        ("low_odd_encoded", encoded_checksum(&video)),
+        ("low_odd_decoded", decoded_checksum(&video)),
+    ];
+    for ((pin_name, pin_sum), (name, sum)) in ODD_SIZE_PINNED.iter().zip(now.iter()) {
         assert_eq!(pin_name, name, "checksum order changed");
         assert_eq!(
             pin_sum, sum,

@@ -9,11 +9,18 @@ use crate::error::MediaError;
 use crate::Result;
 
 /// Accumulates bits MSB-first into a byte vector.
+///
+/// Bits collect in a 64-bit accumulator that goes to the vector eight
+/// bytes at a time, so a write costs a shift and an or whatever the
+/// stream's bit alignment.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the final byte (0–7).
-    used: u8,
+    /// Bits not yet in `bytes`: the low `pending` bits, oldest first.
+    /// Bits above them are stale and never read.
+    acc: u64,
+    /// Number of bits in `acc` (0–63).
+    pending: u32,
 }
 
 impl BitWriter {
@@ -25,66 +32,98 @@ impl BitWriter {
     /// Appends a single bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 1 << (7 - self.used);
-        }
-        self.used = (self.used + 1) % 8;
+        self.put_bits(u64::from(bit), 1);
     }
 
     /// Appends the low `n` bits of `value`, most significant first.
+    #[inline]
     pub fn put_bits(&mut self, value: u64, n: u8) {
         debug_assert!(n <= 64);
-        let mut n = n as usize;
-        // Top up a partially filled final byte (at most 7 iterations),
-        // after which the stream is byte-aligned.
-        while n > 0 && self.used != 0 {
-            n -= 1;
-            self.put_bit((value >> n) & 1 == 1);
+        let n = u32::from(n);
+        if n == 0 {
+            return;
         }
-        // Aligned: emit whole bytes directly.
-        while n >= 8 {
-            n -= 8;
-            self.bytes.push((value >> n) as u8);
-        }
-        // Remaining tail bits open a fresh byte, MSB-first.
-        if n > 0 {
-            let tail = (value & ((1 << n) - 1)) as u8;
-            self.bytes.push(tail << (8 - n));
-            self.used = n as u8;
+        let value = if n == 64 { value } else { value & ((1 << n) - 1) };
+        let free = 64 - self.pending;
+        if n < free {
+            self.acc = (self.acc << n) | value;
+            self.pending += n;
+        } else {
+            // Fill the accumulator, emit it, and keep the bits that
+            // did not fit.
+            let rest = n - free;
+            let word = if free == 64 { value } else { (self.acc << free) | (value >> rest) };
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+            self.acc = value;
+            self.pending = rest;
         }
     }
 
     /// Unsigned exp-Golomb: `v` → `leading_zeros(len(v+1)-1) ++ bin(v+1)`.
+    #[inline]
     pub fn put_ue(&mut self, v: u64) {
-        let x = v + 1;
-        let bits = 64 - x.leading_zeros() as u8; // length of x in bits, ≥ 1
-        self.put_bits(0, bits - 1);
-        self.put_bits(x, bits);
+        let (x, bits) = ue_code(v);
+        if bits <= 32 {
+            // `x` written in `2·bits − 1` bits carries its own zero prefix.
+            self.put_bits(x, (2 * bits - 1) as u8);
+        } else {
+            self.put_bits(0, (bits - 1) as u8);
+            self.put_bits(x, bits as u8);
+        }
     }
 
     /// Signed exp-Golomb via the standard zig-zag mapping
     /// (0, 1, −1, 2, −2, …).
+    #[inline]
     pub fn put_se(&mut self, v: i64) {
-        let mapped = if v <= 0 { (-v as u64) * 2 } else { (v as u64) * 2 - 1 };
-        self.put_ue(mapped);
+        self.put_ue(zigzag(v));
+    }
+
+    /// Appends `ue(u)` then `se(s)`, in one write when the two codes
+    /// fit in 64 bits.
+    #[inline]
+    pub(crate) fn put_ue_se(&mut self, u: u64, s: i64) {
+        let (xu, bu) = ue_code(u);
+        let (xs, bs) = ue_code(zigzag(s));
+        let (lu, ls) = (2 * bu - 1, 2 * bs - 1);
+        if lu + ls <= 64 {
+            self.put_bits((xu << ls) | xs, (lu + ls) as u8);
+        } else {
+            self.put_ue(u);
+            self.put_se(s);
+        }
     }
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.used == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.used as usize
-        }
+        self.bytes.len() * 8 + self.pending as usize
     }
 
     /// Finishes the stream (zero-padding the final byte) and returns it.
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            let tail = (self.acc << (64 - self.pending)).to_be_bytes();
+            self.bytes.extend_from_slice(&tail[..self.pending.div_ceil(8) as usize]);
+        }
         self.bytes
+    }
+}
+
+/// `v + 1` and its length in bits: `ue(v)` is that many bits minus one
+/// of zeros, then `v + 1`.
+#[inline]
+fn ue_code(v: u64) -> (u64, u32) {
+    let x = v + 1;
+    (x, 64 - x.leading_zeros())
+}
+
+/// The `se` → `ue` zig-zag mapping: 0, 1, −1, 2, −2, … → 0, 1, 2, 3, 4, …
+#[inline]
+fn zigzag(v: i64) -> u64 {
+    if v <= 0 {
+        (-v as u64) * 2
+    } else {
+        (v as u64) * 2 - 1
     }
 }
 
@@ -338,6 +377,24 @@ mod tests {
         assert_eq!(len(0), 1);
         assert!(len(1) <= len(-1));
         assert!(len(-1) < len(2));
+    }
+
+    #[test]
+    fn ue_se_token_matches_separate_codes() {
+        // Short pairs take the one-write path, pairs past 64 bits the
+        // two-call fallback; both must write `ue` then `se`.
+        let pairs =
+            [(0, 0), (0, 1), (5, -3), (3071, 255), (1 << 20, -255), (1 << 40, 7), (7, 1 << 40)];
+        for (u, s) in pairs {
+            let mut token = BitWriter::new();
+            token.put_bit(true);
+            token.put_ue_se(u, s);
+            let mut separate = BitWriter::new();
+            separate.put_bit(true);
+            separate.put_ue(u);
+            separate.put_se(s);
+            assert_eq!(token.finish(), separate.finish(), "u={u} s={s}");
+        }
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub struct EncodeConfig {
     pub gop: usize,
     /// Worker threads for GOP-parallel encoding (≤ 1 = sequential).
     pub threads: usize,
-    /// Motion search range in pixels (full search over ±range).
+    /// Motion search range in pixels (full search over ±range), at most
+    /// 127: the bitstream codes each vector component in −127..=127.
     pub search_range: u8,
 }
 
@@ -296,7 +297,9 @@ pub struct DecodedVideo {
     pub rate: FrameRate,
 }
 
-#[inline]
+/// The quantised level of residual `v` at step `q`: `v / q` rounded to
+/// nearest, halves away from zero. The encoder reads it from a
+/// [`Quantiser`] table.
 fn quantize(v: i64, q: i64) -> i64 {
     if q == 1 {
         v
@@ -307,22 +310,42 @@ fn quantize(v: i64, q: i64) -> i64 {
     }
 }
 
-/// Zero-run RLE + Golomb encoding of a residual sequence.
+/// [`quantize`] at one step, tabulated over every residual the encoder
+/// forms (an 8-bit sample minus an 8-bit prediction, −255..=255): a
+/// lookup per sample in place of an integer division.
+struct Quantiser {
+    step: i64,
+    /// `quantize(v, step)` at index `v + 255`.
+    levels: [i16; 511],
+}
+
+impl Quantiser {
+    fn new(step: i64) -> Quantiser {
+        Quantiser { step, levels: std::array::from_fn(|i| quantize(i as i64 - 255, step) as i16) }
+    }
+
+    /// The level of the residual `sample - pred`.
+    #[inline]
+    fn level(&self, sample: u8, pred: i64) -> i64 {
+        i64::from(self.levels[(i64::from(sample) - pred + 255) as usize])
+    }
+}
+
+/// Zero-run RLE + Golomb encoding of a residual sequence: each nonzero
+/// level goes out with the zero run before it as one `(ue, se)` token,
+/// and a trailing zero run as a lone `ue`.
 fn write_residuals(w: &mut BitWriter, residuals: &[i64]) {
-    let n = residuals.len();
-    let mut pos = 0usize;
-    while pos < n {
-        let mut run = 0usize;
-        while pos + run < n && residuals[pos + run] == 0 {
+    let mut run = 0u64;
+    for &level in residuals {
+        if level == 0 {
             run += 1;
-        }
-        w.put_ue(run as u64);
-        if pos + run < n {
-            w.put_se(residuals[pos + run]);
-            pos += run + 1;
         } else {
-            pos = n;
+            w.put_ue_se(run, level);
+            run = 0;
         }
+    }
+    if run > 0 {
+        w.put_ue(run);
     }
 }
 
@@ -370,7 +393,7 @@ fn read_residuals(r: &mut BitReader<'_>, n: usize) -> Result<Vec<i64>> {
 /// `buf[i-stride]`), so the scan is index arithmetic instead of
 /// per-pixel coordinate accessors; the reconstruction is wrapped into a
 /// [`Plane`] once at the end.
-fn encode_plane_intra(w: &mut BitWriter, src: &Plane, q: i64) -> Plane {
+fn encode_plane_intra(w: &mut BitWriter, src: &Plane, quant: &Quantiser) -> Plane {
     let (pw, ph) = (src.width(), src.height());
     let n = (pw * ph) as usize;
     let stride = pw as usize;
@@ -379,10 +402,9 @@ fn encode_plane_intra(w: &mut BitWriter, src: &Plane, q: i64) -> Plane {
     let mut residuals = Vec::with_capacity(n);
     for i in 0..n {
         let pred = intra_pred(&recon, i, stride);
-        let res = sdata[i] as i64 - pred;
-        let qres = quantize(res, q);
+        let qres = quant.level(sdata[i], pred);
         residuals.push(qres);
-        recon[i] = (pred + qres * q).clamp(0, 255) as u8;
+        recon[i] = (pred + qres * quant.step).clamp(0, 255) as u8;
     }
     write_residuals(w, &residuals);
     Plane::from_raw(pw, ph, recon)
@@ -444,9 +466,14 @@ fn mb_grid(width: u32, height: u32) -> (u32, u32) {
 }
 
 /// Full-search motion estimation on luma; one vector per macroblock.
+/// `range` must be at most 127, the largest component the bitstream codes.
 fn motion_search(cur: &Plane, reference: &Plane, range: u8) -> Vec<(i8, i8)> {
+    debug_assert!(range <= 127);
     let (cols, rows) = mb_grid(cur.width(), cur.height());
     let r = range as i64;
+    // Vector (dx, dy) reads the padded copy at offset (dx + r, dy + r),
+    // which stays inside it, so no probe clamps.
+    let padded = reference.padded(range.into());
     let mut mvs = Vec::with_capacity((cols * rows) as usize);
     for my in 0..rows {
         for mx in 0..cols {
@@ -456,7 +483,7 @@ fn motion_search(cur: &Plane, reference: &Plane, range: u8) -> Vec<(i8, i8)> {
             let bh = MB.min(cur.height() - y);
             // Zero vector first: it is the overwhelmingly common winner and
             // seeds the early-exit bound.
-            let mut best = cur.block_sad(reference, x, y, bw, bh, 0, 0, u64::MAX);
+            let mut best = cur.block_sad(&padded, x, y, bw, bh, r, r, u64::MAX);
             let mut best_mv = (0i8, 0i8);
             'search: for dy in -r..=r {
                 for dx in -r..=r {
@@ -466,7 +493,7 @@ fn motion_search(cur: &Plane, reference: &Plane, range: u8) -> Vec<(i8, i8)> {
                     if best == 0 {
                         break 'search;
                     }
-                    let sad = cur.block_sad(reference, x, y, bw, bh, dx, dy, best);
+                    let sad = cur.block_sad(&padded, x, y, bw, bh, dx + r, dy + r, best);
                     if sad < best {
                         best = sad;
                         best_mv = (dx as i8, dy as i8);
@@ -541,7 +568,7 @@ fn encode_plane_inter(
     src: &Plane,
     reference: &Plane,
     mvs: &[(i8, i8)],
-    q: i64,
+    quant: &Quantiser,
 ) -> Plane {
     let (pw, ph) = (src.width(), src.height());
     let (cols, _) = mb_grid(pw, ph);
@@ -559,10 +586,9 @@ fn encode_plane_inter(
         let row = y as usize * stride;
         for (x, &pred) in pred_row.iter().enumerate() {
             let pred = pred as i64;
-            let res = sdata[row + x] as i64 - pred;
-            let qres = quantize(res, q);
+            let qres = quant.level(sdata[row + x], pred);
             residuals.push(qres);
-            recon[row + x] = (pred + qres * q).clamp(0, 255) as u8;
+            recon[row + x] = (pred + qres * quant.step).clamp(0, 255) as u8;
         }
     }
     write_residuals(w, &residuals);
@@ -617,8 +643,8 @@ impl Encoder {
     /// (one every `gop` frames).
     ///
     /// # Errors
-    /// Fails on an empty input, a zero GOP, or frames whose dimensions
-    /// differ from the first frame.
+    /// Fails on an empty input, a zero GOP, a search range above 127, or
+    /// frames whose dimensions differ from the first frame.
     ///
     /// # Examples
     ///
@@ -662,6 +688,12 @@ impl Encoder {
         }
         if self.config.gop == 0 {
             return Err(MediaError::InvalidConfig("gop must be at least 1".into()));
+        }
+        if self.config.search_range > 127 {
+            return Err(MediaError::InvalidConfig(format!(
+                "search range {} exceeds the codable motion range of 127",
+                self.config.search_range
+            )));
         }
         let (w, h) = (frames[0].width(), frames[0].height());
         for f in frames {
@@ -717,10 +749,10 @@ impl Encoder {
 /// Whether every sample of `src` quantises to its reference — i.e. the
 /// frame would code as all-zero residuals at zero motion, so it can be a
 /// zero-byte SKIP frame.
-fn frame_skips(src: &[Plane; 3], reference: &[Plane; 3], q: i64) -> bool {
+fn frame_skips(src: &[Plane; 3], reference: &[Plane; 3], quant: &Quantiser) -> bool {
     for (s, r) in src.iter().zip(reference.iter()) {
-        for (a, b) in s.data().iter().zip(r.data().iter()) {
-            if quantize(*a as i64 - *b as i64, q) != 0 {
+        for (&a, &b) in s.data().iter().zip(r.data().iter()) {
+            if quant.level(a, b.into()) != 0 {
                 return false;
             }
         }
@@ -730,7 +762,7 @@ fn frame_skips(src: &[Plane; 3], reference: &[Plane; 3], q: i64) -> bool {
 
 /// Encodes one GOP sequentially: an I-frame followed by P/SKIP frames.
 fn encode_gop(frames: &[Frame], cfg: &EncodeConfig) -> Vec<EncodedFrame> {
-    let q = cfg.quality.qstep();
+    let quant = Quantiser::new(cfg.quality.qstep());
     let mut out = Vec::with_capacity(frames.len());
     let mut reference: Option<[Plane; 3]> = None;
     for (i, frame) in frames.iter().enumerate() {
@@ -741,13 +773,13 @@ fn encode_gop(frames: &[Frame], cfg: &EncodeConfig) -> Vec<EncodedFrame> {
         if i == 0 {
             kind = FrameKind::Intra;
             recon = [
-                encode_plane_intra(&mut w, &src[0], q),
-                encode_plane_intra(&mut w, &src[1], q),
-                encode_plane_intra(&mut w, &src[2], q),
+                encode_plane_intra(&mut w, &src[0], &quant),
+                encode_plane_intra(&mut w, &src[1], &quant),
+                encode_plane_intra(&mut w, &src[2], &quant),
             ];
         } else {
             let ref_planes = reference.as_ref().expect("P-frame has a reference");
-            if frame_skips(&src, ref_planes, q) {
+            if frame_skips(&src, ref_planes, &quant) {
                 // Zero payload: the decoder re-shows the reference.
                 out.push(EncodedFrame { kind: FrameKind::Skip, data: Vec::new() });
                 continue; // reference stays as-is
@@ -761,9 +793,9 @@ fn encode_gop(frames: &[Frame], cfg: &EncodeConfig) -> Vec<EncodedFrame> {
                 w.put_se(dy as i64);
             }
             recon = [
-                encode_plane_inter(&mut w, &src[0], &ref_planes[0], &mvs, q),
-                encode_plane_inter(&mut w, &src[1], &ref_planes[1], &mvs, q),
-                encode_plane_inter(&mut w, &src[2], &ref_planes[2], &mvs, q),
+                encode_plane_inter(&mut w, &src[0], &ref_planes[0], &mvs, &quant),
+                encode_plane_inter(&mut w, &src[1], &ref_planes[1], &mvs, &quant),
+                encode_plane_inter(&mut w, &src[2], &ref_planes[2], &mvs, &quant),
             ];
         }
         out.push(EncodedFrame { kind, data: w.finish() });
@@ -1185,11 +1217,112 @@ mod tests {
     }
 
     #[test]
+    fn search_ranges_past_127_are_rejected() {
+        // Only column 0 is bright, so the bright block the second frame
+        // adds at x 48..64 matches nothing but column 0's edge
+        // extension: the first zero-SAD probe is (-range, -range).
+        let mut f0 = Frame::filled(64, 48, Rgb::BLACK).unwrap();
+        f0.fill_rect(0, 0, 1, 48, Rgb::WHITE);
+        let mut f1 = f0.clone();
+        f1.fill_rect(48, 0, 16, 16, Rgb::WHITE);
+        let frames = [f0, f1];
+        let encode = |search_range| {
+            Encoder::new(EncodeConfig {
+                quality: Quality::Lossless,
+                gop: 2,
+                threads: 1,
+                search_range,
+            })
+            .encode(&frames, FrameRate::FPS30)
+        };
+        for range in [128, 255] {
+            assert!(
+                matches!(encode(range), Err(MediaError::InvalidConfig(_))),
+                "search range {range} accepted"
+            );
+        }
+        let ev = encode(127).unwrap();
+        assert_eq!(Decoder::default().decode_all(&ev).unwrap().frames, frames);
+        assert_eq!(ev.frames[1].kind, FrameKind::Inter);
+        assert!(ev.frames[1].data.len() < 64, "P-frame of {} bytes", ev.frames[1].data.len());
+    }
+
+    #[test]
     fn compression_ratio_reported() {
         let frames = test_footage(6);
         let ev = Encoder::default().encode(&frames, FrameRate::FPS30).unwrap();
         assert!(ev.compression_ratio() > 1.0, "ratio {}", ev.compression_ratio());
         assert_eq!(ev.raw_bytes(), 48 * 32 * 3 * 6);
+    }
+}
+
+#[cfg(test)]
+mod motion_search_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The search [`motion_search`] must reproduce: every vector within
+    /// ±`range`, row-major from (-range, -range), over the unpadded
+    /// reference with per-sample clamping. The zero vector is the
+    /// incumbent and only a strictly smaller SAD replaces it, so the
+    /// first of equal minima wins; a zero SAD cannot be beaten, so
+    /// probing on after it changes nothing.
+    fn naive_search(cur: &Plane, reference: &Plane, range: u8) -> Vec<(i8, i8)> {
+        let (cols, rows) = mb_grid(cur.width(), cur.height());
+        let r = range as i64;
+        let mut mvs = Vec::new();
+        for my in 0..rows {
+            for mx in 0..cols {
+                let (x, y) = (mx * MB, my * MB);
+                let (bw, bh) = (MB.min(cur.width() - x), MB.min(cur.height() - y));
+                let sad =
+                    |dx, dy| cur.block_sad_reference(reference, x, y, bw, bh, dx, dy, u64::MAX);
+                let mut best = (sad(0, 0), (0, 0));
+                for dy in -r..=r {
+                    for dx in -r..=r {
+                        let s = sad(dx, dy);
+                        if s < best.0 {
+                            best = (s, (dx as i8, dy as i8));
+                        }
+                    }
+                }
+                mvs.push(best.1);
+            }
+        }
+        mvs
+    }
+
+    /// Plane content: random bytes, or one value (a flat plane, where
+    /// every probe ties), cycled to fill the plane.
+    fn content() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 1..64),
+            any::<u8>().prop_map(|v| vec![v]),
+        ]
+    }
+
+    fn plane_from(w: u32, h: u32, bytes: &[u8]) -> Plane {
+        Plane::from_raw(w, h, bytes.iter().copied().cycle().take((w * h) as usize).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn motion_search_matches_naive_full_search(
+            w in 1u32..=48,
+            h in 1u32..=48,
+            range in 0u8..=12,
+            cur_bytes in content(),
+            ref_bytes in content(),
+        ) {
+            let cur = plane_from(w, h, &cur_bytes);
+            let reference = plane_from(w, h, &ref_bytes);
+            prop_assert_eq!(
+                motion_search(&cur, &reference, range),
+                naive_search(&cur, &reference, range)
+            );
+        }
     }
 }
 

@@ -66,6 +66,28 @@ impl Plane {
         self.data[(cy * self.width + cx) as usize]
     }
 
+    /// A copy grown by `pad` samples on every side: sample `(x, y)` of
+    /// the copy is `sample_clamped(x - pad, y - pad)`. Motion search
+    /// probes it instead of the plane itself, so a vector that reaches up
+    /// to `pad` samples past an edge reads the same edge-extended samples
+    /// without clamping.
+    ///
+    /// # Panics
+    /// On an empty plane, which has no edge to extend.
+    pub(crate) fn padded(&self, pad: u32) -> Plane {
+        assert!(self.width > 0 && self.height > 0, "cannot pad an empty plane");
+        let (w, h, p) = (self.width as usize, self.height as usize, pad as usize);
+        let mut data = Vec::with_capacity((w + 2 * p) * (h + 2 * p));
+        for y in 0..h + 2 * p {
+            let sy = y.saturating_sub(p).min(h - 1);
+            let row = &self.data[sy * w..sy * w + w];
+            data.extend(std::iter::repeat_n(row[0], p));
+            data.extend_from_slice(row);
+            data.extend(std::iter::repeat_n(row[w - 1], p));
+        }
+        Plane::from_raw(self.width + 2 * pad, self.height + 2 * pad, data)
+    }
+
     /// In-bounds sample access.
     #[inline]
     pub fn at(&self, x: u32, y: u32) -> u8 {
@@ -139,15 +161,18 @@ impl Plane {
     /// `self` and the block at `(x+dx, y+dy)` in `reference`, with clamped
     /// sampling on the reference. Early-exits once `best` is exceeded.
     ///
-    /// Fully in-bounds probes (the overwhelming majority — only blocks
-    /// hugging the frame edge ever clamp) compare whole rows: 8 samples
-    /// at a time as `u64` words, skipping word-equal runs outright (the
-    /// common case on the zero vector), with a scalar tail. The
-    /// out-of-bounds path and the per-row early-exit are exactly
-    /// [`Plane::block_sad_reference`]'s, so results are bit-identical.
+    /// A probe that stays inside `reference` compares whole rows, 16
+    /// samples at a time as fixed arrays (one `psadbw` each on x86-64),
+    /// with a scalar tail for narrower blocks. A probe that reaches past
+    /// an edge takes [`Plane::block_sad_reference`]'s per-sample clamped
+    /// path; motion search never does, because it probes a copy of the
+    /// reference padded by its search range. Both paths exit after the
+    /// same row, so results are bit-identical to the reference.
     // A SAD call is the innermost loop of motion search; passing discrete
-    // coordinates beats constructing a geometry struct per probe.
+    // coordinates beats constructing a geometry struct per probe, and
+    // inlining it into the search loop saves a call per probe.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn block_sad(
         &self,
         reference: &Plane,
@@ -168,14 +193,17 @@ impl Plane {
         if !in_bounds {
             return self.block_sad_reference(reference, x, y, bw, bh, dx, dy, best);
         }
-        let (rx, ry) = (rx as u32, ry as u32);
+        if bw == 0 {
+            // Nothing to compare, and a zero-wide plane would panic in `chunks`.
+            return 0;
+        }
+        let (rx, ry, bw) = (rx as usize, ry as usize, bw as usize);
+        let (aw, rw) = (self.width as usize, reference.width as usize);
+        let a_rows = self.data[y as usize * aw + x as usize..].chunks(aw);
+        let b_rows = reference.data[ry * rw + rx..].chunks(rw);
         let mut acc = 0u64;
-        for by in 0..bh {
-            let a0 = ((y + by) * self.width + x) as usize;
-            let b0 = ((ry + by) * reference.width + rx) as usize;
-            let row_a = &self.data[a0..a0 + bw as usize];
-            let row_b = &reference.data[b0..b0 + bw as usize];
-            acc += row_sad(row_a, row_b);
+        for (row_a, row_b) in a_rows.zip(b_rows).take(bh as usize) {
+            acc += row_sad(&row_a[..bw], &row_b[..bw]);
             if acc >= best {
                 return acc; // cannot improve on the incumbent
             }
@@ -214,28 +242,34 @@ impl Plane {
     }
 }
 
-/// SAD of two equal-length sample rows: 8-byte words first (equal words
-/// contribute 0 and are skipped without unpacking), scalar remainder.
+/// SAD of two equal-length sample rows. A full macroblock row is one
+/// [`sad16`]; other widths take 16-sample chunks, then a scalar tail.
 #[inline]
 fn row_sad(a: &[u8], b: &[u8]) -> u64 {
     debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0u64;
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (wa, wb) in ca.by_ref().zip(cb.by_ref()) {
-        let ua = u64::from_le_bytes(wa.try_into().expect("exact 8-byte chunk"));
-        let ub = u64::from_le_bytes(wb.try_into().expect("exact 8-byte chunk"));
-        if ua == ub {
-            continue;
-        }
-        for (&sa, &sb) in wa.iter().zip(wb.iter()) {
-            acc += sa.abs_diff(sb) as u64;
-        }
+    if let (Ok(a), Ok(b)) = (a.try_into(), b.try_into()) {
+        return sad16(a, b);
     }
-    for (&sa, &sb) in ca.remainder().iter().zip(cb.remainder().iter()) {
-        acc += sa.abs_diff(sb) as u64;
+    let mut ca = a.chunks_exact(16);
+    let mut cb = b.chunks_exact(16);
+    let mut acc = 0u64;
+    for (wa, wb) in ca.by_ref().zip(cb.by_ref()) {
+        let (wa, wb) =
+            (wa.try_into().expect("16-sample chunk"), wb.try_into().expect("16-sample chunk"));
+        acc += sad16(wa, wb);
+    }
+    for (&sa, &sb) in ca.remainder().iter().zip(cb.remainder()) {
+        acc += u64::from(sa.abs_diff(sb));
     }
     acc
+}
+
+/// SAD of two 16-sample rows. The fixed length and the widened
+/// subtraction let LLVM reduce the loop to one `psadbw` on baseline
+/// x86-64; `u8::abs_diff` here does not vectorise.
+#[inline]
+fn sad16(a: &[u8; 16], b: &[u8; 16]) -> u64 {
+    a.iter().zip(b).map(|(&sa, &sb)| (i64::from(sa) - i64::from(sb)).unsigned_abs()).sum()
 }
 
 #[cfg(test)]
@@ -264,6 +298,14 @@ mod tests {
         assert_eq!(p.sample_clamped(-5, -5), 10);
         assert_eq!(p.sample_clamped(7, 7), 99);
         assert_eq!(p.sample_clamped(1, 1), 0);
+        // A padded copy holds the same edge-extended samples in bounds.
+        let padded = p.padded(2);
+        assert_eq!((padded.width(), padded.height()), (7, 7));
+        for y in 0..7 {
+            for x in 0..7 {
+                assert_eq!(padded.at(x, y), p.sample_clamped(x as i64 - 2, y as i64 - 2));
+            }
+        }
     }
 
     #[test]

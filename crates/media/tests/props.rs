@@ -10,7 +10,116 @@ use vgbl_media::histogram::ColorHistogram;
 use vgbl_media::timeline::{FrameRate, MediaTime};
 use vgbl_media::SegmentTable;
 
+/// The bit-at-a-time writer that `BitWriter` replaced, kept as its byte
+/// oracle: an unaligned write goes into the final byte one bit at a
+/// time, and whole bytes only once the stream is aligned.
+#[derive(Default)]
+struct BitwiseWriter {
+    bytes: Vec<u8>,
+    /// Bits already used in the final byte (0–7).
+    used: u8,
+}
+
+impl BitwiseWriter {
+    fn put_bit(&mut self, bit: bool) {
+        if self.used == 0 {
+            self.bytes.push(0);
+        }
+        if bit {
+            let last = self.bytes.len() - 1;
+            self.bytes[last] |= 1 << (7 - self.used);
+        }
+        self.used = (self.used + 1) % 8;
+    }
+
+    fn put_bits(&mut self, value: u64, n: u8) {
+        let mut n = n as usize;
+        // Top up a partially filled final byte, after which the stream
+        // is byte-aligned.
+        while n > 0 && self.used != 0 {
+            n -= 1;
+            self.put_bit((value >> n) & 1 == 1);
+        }
+        while n >= 8 {
+            n -= 8;
+            self.bytes.push((value >> n) as u8);
+        }
+        if n > 0 {
+            let tail = (value & ((1 << n) - 1)) as u8;
+            self.bytes.push(tail << (8 - n));
+            self.used = n as u8;
+        }
+    }
+
+    fn put_ue(&mut self, v: u64) {
+        let x = v + 1;
+        let bits = 64 - x.leading_zeros() as u8;
+        self.put_bits(0, bits - 1);
+        self.put_bits(x, bits);
+    }
+
+    fn put_se(&mut self, v: i64) {
+        self.put_ue(if v <= 0 { (-v as u64) * 2 } else { (v as u64) * 2 - 1 });
+    }
+
+    fn bit_len(&self) -> usize {
+        match self.used {
+            0 => self.bytes.len() * 8,
+            used => (self.bytes.len() - 1) * 8 + used as usize,
+        }
+    }
+}
+
+/// One `BitWriter` call.
+#[derive(Debug, Clone, Copy)]
+enum BitOp {
+    Bit(bool),
+    Bits(u64, u8),
+    Ue(u64),
+    Se(i64),
+}
+
+/// Writer calls over every width `put_bits` takes and every `ue` / `se`
+/// value below 2^63 once mapped, small values (the common codes) as
+/// often as large ones.
+fn bit_op() -> impl Strategy<Value = BitOp> {
+    prop_oneof![
+        any::<bool>().prop_map(BitOp::Bit),
+        (any::<u64>(), 0u8..=64).prop_map(|(v, n)| BitOp::Bits(v, n)),
+        prop_oneof![0u64..64, 0u64..1 << 63].prop_map(BitOp::Ue),
+        prop_oneof![-64i64..64, 1 - (1i64 << 62)..=1i64 << 62].prop_map(BitOp::Se),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn bit_writer_matches_bitwise_oracle(ops in proptest::collection::vec(bit_op(), 0..48)) {
+        let mut w = BitWriter::new();
+        let mut oracle = BitwiseWriter::default();
+        for op in ops {
+            match op {
+                BitOp::Bit(b) => {
+                    w.put_bit(b);
+                    oracle.put_bit(b);
+                }
+                BitOp::Bits(v, n) => {
+                    w.put_bits(v, n);
+                    oracle.put_bits(v, n);
+                }
+                BitOp::Ue(v) => {
+                    w.put_ue(v);
+                    oracle.put_ue(v);
+                }
+                BitOp::Se(v) => {
+                    w.put_se(v);
+                    oracle.put_se(v);
+                }
+            }
+            prop_assert_eq!(w.bit_len(), oracle.bit_len(), "after {:?}", op);
+        }
+        prop_assert_eq!(w.finish(), oracle.bytes);
+    }
+
     #[test]
     fn ue_se_roundtrip(values in proptest::collection::vec((any::<u32>(), any::<i32>()), 0..64)) {
         let mut w = BitWriter::new();
