@@ -1,9 +1,10 @@
 //! EXP-2 — codec encode/decode throughput vs quality preset, plus
 //! GOP-parallel encode scaling, plus one encode at the shape of
-//! sessionbench's `author_import` import.
+//! sessionbench's `author_import` import and one decode at the shape of
+//! its `branchy_watch` branches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use vgbl::media::codec::{Decoder, Quality};
+use vgbl::media::codec::{Decoder, EncodeConfig, Encoder, Quality};
 use vgbl_bench::{bench_footage, encode};
 
 fn bench(c: &mut Criterion) {
@@ -55,6 +56,26 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(import.len() as u64 * 64 * 48));
     group.sample_size(10);
     group.bench_function("encode", |b| b.iter(|| encode(&import, 15, Quality::Medium, 1)));
+    group.finish();
+
+    // Every `branchy_watch` branch lands on a keyframe and decodes one
+    // GOP of 128x96 Medium footage (GOP 12, ±3 search) on one thread;
+    // decoding is nearly all of that workload's time.
+    let branchy = bench_footage(128, 96, 3, 7);
+    let config = EncodeConfig { quality: Quality::Medium, gop: 12, threads: 1, search_range: 3 };
+    let video = Encoder::new(config).encode(&branchy.frames, branchy.rate).expect("encodes");
+    let keyframes = video.keyframes();
+    let dec = Decoder::new(1);
+    let mut group = c.benchmark_group("branchy_watch_codec");
+    group.throughput(Throughput::Elements(video.len() as u64 * 128 * 96));
+    group.sample_size(10);
+    group.bench_function("decode", |b| {
+        b.iter(|| {
+            for &k in &keyframes {
+                dec.decode_gop_at(&video, k).unwrap();
+            }
+        })
+    });
     group.finish();
 }
 

@@ -13,8 +13,15 @@
 //! accumulating bit writer. Its 72×40 frames end in partial macroblocks
 //! (8 columns and 8 rows), and its ±12 search reaches past every edge, so
 //! it covers the edge handling that the interior-only 96×64 pins miss.
+//!
+//! `HIGH_PINNED` was pinned the same way, before the table-driven
+//! residual decode that reconstructs straight from the bitstream. It
+//! covers `Quality::High`, the one preset the other pins do not decode,
+//! at 128×96 with GOP 12 and a ±3 search: the shape of sessionbench's
+//! `branchy_watch` stream.
 
 use vgbl::media::codec::{Decoder, EncodeConfig, EncodedVideo, Encoder, Quality};
+use vgbl::media::synth::Footage;
 use vgbl::media::FrameKind;
 use vgbl::obs::hash::{fnv1a_extend, FNV_OFFSET};
 use vgbl_bench::{bench_footage, encode};
@@ -28,6 +35,9 @@ const PINNED: [(&str, u64); 4] = [
 
 const ODD_SIZE_PINNED: [(&str, u64); 2] =
     [("low_odd_encoded", 0x5b9d8dc98055dc3b), ("low_odd_decoded", 0x119c493b708b1d85)];
+
+const HIGH_PINNED: [(&str, u64); 2] =
+    [("high_encoded", 0x18703a97e938a0ab), ("high_decoded", 0xdd4b596b92ade88a)];
 
 fn encoded_checksum(video: &EncodedVideo) -> u64 {
     let mut h = FNV_OFFSET;
@@ -63,10 +73,9 @@ fn golden_checksums() -> [(&'static str, u64); 4] {
     ]
 }
 
-#[test]
-fn codec_output_is_byte_identical_to_pre_optimization_pin() {
-    let now = golden_checksums();
-    for ((pin_name, pin_sum), (name, sum)) in PINNED.iter().zip(now.iter()) {
+fn assert_pinned(pinned: &[(&str, u64)], now: &[(&str, u64)]) {
+    assert_eq!(pinned.len(), now.len(), "checksum count changed");
+    for ((pin_name, pin_sum), (name, sum)) in pinned.iter().zip(now.iter()) {
         assert_eq!(pin_name, name, "checksum order changed");
         assert_eq!(
             pin_sum, sum,
@@ -75,22 +84,30 @@ fn codec_output_is_byte_identical_to_pre_optimization_pin() {
     }
 }
 
+/// The encoded and the decoded fingerprint of one encode of `footage`.
+fn encode_checksums(footage: &Footage, config: EncodeConfig) -> [u64; 2] {
+    let video =
+        Encoder::new(config).encode(&footage.frames, footage.rate).expect("footage encodes");
+    [encoded_checksum(&video), decoded_checksum(&video)]
+}
+
+#[test]
+fn codec_output_is_byte_identical_to_pre_optimization_pin() {
+    assert_pinned(&PINNED, &golden_checksums());
+}
+
 #[test]
 fn odd_size_codec_output_is_byte_identical_to_pin() {
     let footage = bench_footage(72, 40, 3, 42);
     let config = EncodeConfig { quality: Quality::Low, gop: 6, threads: 1, search_range: 12 };
-    let video = Encoder::new(config)
-        .encode(&footage.frames, footage.rate)
-        .expect("odd-size footage encodes");
-    let now = [
-        ("low_odd_encoded", encoded_checksum(&video)),
-        ("low_odd_decoded", decoded_checksum(&video)),
-    ];
-    for ((pin_name, pin_sum), (name, sum)) in ODD_SIZE_PINNED.iter().zip(now.iter()) {
-        assert_eq!(pin_name, name, "checksum order changed");
-        assert_eq!(
-            pin_sum, sum,
-            "{name} fingerprint moved: an optimization altered codec output"
-        );
-    }
+    let [encoded, decoded] = encode_checksums(&footage, config);
+    assert_pinned(&ODD_SIZE_PINNED, &[("low_odd_encoded", encoded), ("low_odd_decoded", decoded)]);
+}
+
+#[test]
+fn high_quality_codec_output_is_byte_identical_to_pin() {
+    let footage = bench_footage(128, 96, 3, 42);
+    let config = EncodeConfig { quality: Quality::High, gop: 12, threads: 1, search_range: 3 };
+    let [encoded, decoded] = encode_checksums(&footage, config);
+    assert_pinned(&HIGH_PINNED, &[("high_encoded", encoded), ("high_decoded", decoded)]);
 }

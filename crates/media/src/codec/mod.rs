@@ -16,6 +16,8 @@
 //!   embarrassingly parallel across GOPs.
 
 pub mod bitio;
+#[cfg(test)]
+mod oracle;
 pub mod plane;
 
 use crate::cache::VideoId;
@@ -349,41 +351,49 @@ fn write_residuals(w: &mut BitWriter, residuals: &[i64]) {
     }
 }
 
-/// Inverse of [`write_residuals`], in sparse `(index, value)` form —
-/// the natural shape of the zero-run RLE. Decoders treat the zero runs
-/// between entries as whole spans (prediction pass-through) instead of
-/// doing per-sample `pred + 0` arithmetic on a dense buffer.
-fn read_residuals_sparse(r: &mut BitReader<'_>, n: usize) -> Result<Vec<(usize, i64)>> {
-    // Each token costs ≥ 4 bits on the wire (run `ue` + value `se`), so
-    // remaining_bits/4 caps the token count — a tight-enough hint to
-    // avoid growth reallocations without overcommitting.
-    let mut out = Vec::with_capacity(n.min(r.remaining_bits() / 4 + 1));
-    let mut pos = 0usize;
-    while pos < n {
-        let run = r.get_ue()? as usize;
-        if run > n - pos {
-            return Err(MediaError::CorruptBitstream(format!(
-                "zero run {run} exceeds remaining {} samples",
-                n - pos
-            )));
-        }
-        pos += run;
-        if pos < n {
-            out.push((pos, r.get_se()?));
-            pos += 1;
-        }
-    }
-    Ok(out)
-}
+/// The largest level magnitude [`write_residuals`] codes: a residual is
+/// an 8-bit sample minus an 8-bit prediction, and quantising never
+/// enlarges it. The decoder rejects any larger level, whose
+/// reconstruction `pred + level * q` could overflow.
+const MAX_LEVEL: i64 = 255;
 
-/// Dense form of [`read_residuals_sparse`] (round-trip tests only).
-#[cfg(test)]
-fn read_residuals(r: &mut BitReader<'_>, n: usize) -> Result<Vec<i64>> {
-    let mut out = vec![0i64; n];
-    for (pos, val) in read_residuals_sparse(r, n)? {
-        out[pos] = val;
+/// Inverse of [`write_residuals`] over `n` samples: hands each level to
+/// `level(run, value)` as it is read, with the zero run before it, so
+/// decoders reconstruct straight from the stream. The samples after the
+/// last level are the plane's trailing zero run.
+#[inline]
+fn read_residuals(
+    r: &mut BitReader<'_>,
+    n: usize,
+    mut level: impl FnMut(usize, i64),
+) -> Result<()> {
+    let mut left = n;
+    while left > 0 {
+        let (run, value) = match r.get_token(left) {
+            Some(token) => token,
+            None => {
+                let run = r.get_ue()? as usize;
+                if run > left {
+                    return Err(MediaError::CorruptBitstream(format!(
+                        "zero run {run} exceeds remaining {left} samples"
+                    )));
+                }
+                if run == left {
+                    break;
+                }
+                let value = r.get_se()?;
+                if !(-MAX_LEVEL..=MAX_LEVEL).contains(&value) {
+                    return Err(MediaError::CorruptBitstream(format!(
+                        "residual level {value} outside ±{MAX_LEVEL}"
+                    )));
+                }
+                (run, value)
+            }
+        };
+        level(run, value);
+        left -= run + 1;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Intra-codes one plane: scan-order residuals against the reconstructed
@@ -412,36 +422,70 @@ fn encode_plane_intra(w: &mut BitWriter, src: &Plane, quant: &Quantiser) -> Plan
 
 fn decode_plane_intra(r: &mut BitReader<'_>, pw: u32, ph: u32, q: i64) -> Result<Plane> {
     let n = (pw * ph) as usize;
-    let stride = pw as usize;
-    let sparse = read_residuals_sparse(r, n)?;
     let mut recon = vec![0u8; n];
-    let mut next = 0usize;
-    for &(pos, val) in &sparse {
-        fill_intra_run(&mut recon, next, pos, stride);
-        let pred = intra_pred(&recon, pos, stride);
-        recon[pos] = (pred + val * q).clamp(0, 255) as u8;
-        next = pos + 1;
-    }
-    fill_intra_run(&mut recon, next, n, stride);
+    let mut at = IntraCursor { i: 0, x: 0, stride: pw as usize };
+    read_residuals(r, n, |run, level| {
+        at.fill(&mut recon, run);
+        at.put(&mut recon, level * q);
+    })?;
+    at.fill(&mut recon, n - at.i);
     Ok(Plane::from_raw(pw, ph, recon))
 }
 
-/// Reconstructs the zero-residual span `[from, to)`: each sample equals
-/// its prediction exactly (`clamp(pred + 0)` of an in-range neighbour),
-/// so left-prediction propagates one constant along each row and only
-/// the row-start sample looks up its above neighbour.
-fn fill_intra_run(recon: &mut [u8], from: usize, to: usize, stride: usize) {
-    let mut i = from;
-    while i < to {
-        if i.is_multiple_of(stride) {
-            recon[i] = if i >= stride { recon[i - stride] } else { 128 };
-            i += 1;
+/// The intra decoder's place in the scan: sample `i`, in column `x` of
+/// its row, so the prediction needs no division.
+struct IntraCursor {
+    i: usize,
+    x: usize,
+    stride: usize,
+}
+
+impl IntraCursor {
+    /// The prediction for the current sample: its left neighbour, else
+    /// the one above, else mid-grey (as [`intra_pred`]).
+    #[inline]
+    fn pred(&self, recon: &[u8]) -> u8 {
+        if self.x > 0 {
+            recon[self.i - 1]
+        } else if self.i >= self.stride {
+            recon[self.i - self.stride]
         } else {
-            let row_end = (i / stride + 1) * stride;
-            let end = to.min(row_end);
-            let v = recon[i - 1];
-            recon[i..end].fill(v);
-            i = end;
+            128
+        }
+    }
+
+    /// Reconstructs the current sample as its prediction plus `delta`,
+    /// and moves to the next.
+    #[inline]
+    fn put(&mut self, recon: &mut [u8], delta: i64) {
+        recon[self.i] = (i64::from(self.pred(recon)) + delta).clamp(0, 255) as u8;
+        self.i += 1;
+        self.x += 1;
+        if self.x == self.stride {
+            self.x = 0;
+        }
+    }
+
+    /// Reconstructs the next `run` samples, whose residuals are zero:
+    /// each equals its prediction, so the left neighbour propagates
+    /// along the row and only a row's first sample reads the one above.
+    #[inline]
+    fn fill(&mut self, recon: &mut [u8], mut run: usize) {
+        while run > 0 {
+            if self.x == 0 {
+                self.put(recon, 0);
+                run -= 1;
+            } else {
+                let span = run.min(self.stride - self.x);
+                let v = recon[self.i - 1];
+                recon[self.i..self.i + span].fill(v);
+                self.i += span;
+                self.x += span;
+                if self.x == self.stride {
+                    self.x = 0;
+                }
+                run -= span;
+            }
         }
     }
 }
@@ -605,20 +649,21 @@ fn decode_plane_inter(
     let (cols, _) = mb_grid(pw, ph);
     let n = (pw * ph) as usize;
     let rdata = reference.data();
-    let sparse = read_residuals_sparse(r, n)?;
     // The prediction IS the reconstruction wherever the residual is
     // zero, so build the motion-compensated prediction directly into
     // the output buffer (mostly row-span copies) and then patch only
-    // the sparse nonzero samples in place.
+    // the nonzero samples in place, as the stream names them.
     let mut recon = Vec::with_capacity(n);
     for y in 0..ph {
         let mb_row = ((y / MB) * cols) as usize;
         predict_mb_row(&mut recon, rdata, pw, ph, y, &mvs[mb_row..mb_row + cols as usize]);
     }
-    for &(pos, val) in &sparse {
-        let pred = recon[pos] as i64;
-        recon[pos] = (pred + val * q).clamp(0, 255) as u8;
-    }
+    let mut i = 0;
+    read_residuals(r, n, |run, level| {
+        i += run;
+        recon[i] = (i64::from(recon[i]) + level * q).clamp(0, 255) as u8;
+        i += 1;
+    })?;
     Ok(Plane::from_raw(pw, ph, recon))
 }
 
@@ -978,8 +1023,26 @@ mod tests {
         .frames
     }
 
+    /// The `n` residuals [`read_residuals`] reads, zeros included.
+    fn dense_residuals(r: &mut BitReader<'_>, n: usize) -> Result<Vec<i64>> {
+        let mut out = vec![0i64; n];
+        let mut pos = 0;
+        read_residuals(r, n, |run, level| {
+            pos += run;
+            out[pos] = level;
+            pos += 1;
+        })?;
+        Ok(out)
+    }
+
     #[test]
     fn residual_rle_roundtrip() {
+        // Short tokens take the table, long runs and levels the codes.
+        let mut long = vec![0i64; 300];
+        long[70] = 255;
+        long[71] = -255;
+        long[200] = 31;
+        long[201] = -32;
         let cases: Vec<Vec<i64>> = vec![
             vec![],
             vec![0, 0, 0, 0],
@@ -987,14 +1050,17 @@ mod tests {
             vec![0, 0, 3, 0, -2, 0, 0, 0],
             vec![1, -1, 2, -2, 3],
             vec![0; 100],
+            long,
         ];
         for case in cases {
             let mut w = BitWriter::new();
             write_residuals(&mut w, &case);
+            // A second plane follows, as in a frame.
+            write_residuals(&mut w, &[0, 1]);
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
-            let back = read_residuals(&mut r, case.len()).unwrap();
-            assert_eq!(back, case);
+            assert_eq!(dense_residuals(&mut r, case.len()).unwrap(), case);
+            assert_eq!(dense_residuals(&mut r, 2).unwrap(), [0, 1]);
         }
     }
 
@@ -1004,7 +1070,61 @@ mod tests {
         w.put_ue(50); // run of 50 into a 10-sample plane
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert!(read_residuals(&mut r, 10).is_err());
+        assert!(dense_residuals(&mut r, 10).is_err());
+    }
+
+    #[test]
+    fn residual_reader_rejects_levels_the_encoder_never_writes() {
+        for level in [256, -256, 1 << 40] {
+            let mut w = BitWriter::new();
+            w.put_ue_se(0, level);
+            let bytes = w.finish();
+            let mut r = BitReader::new(&bytes);
+            assert!(
+                matches!(dense_residuals(&mut r, 1), Err(MediaError::CorruptBitstream(_))),
+                "level {level} accepted"
+            );
+        }
+    }
+
+    /// A 1×1 `Quality::Low` stream, a keyframe then a P-frame, whose
+    /// red sample carries `levels[i]` in frame `i`.
+    fn one_pixel_stream(levels: [i64; 2]) -> EncodedVideo {
+        let frame = |kind, level| {
+            let mut w = BitWriter::new();
+            if kind == FrameKind::Inter {
+                // The one macroblock's motion vector.
+                w.put_se(0);
+                w.put_se(0);
+            }
+            w.put_ue_se(0, level);
+            // Green and blue: one zero-residual sample each.
+            w.put_ue(1);
+            w.put_ue(1);
+            EncodedFrame { kind, data: w.finish() }
+        };
+        let frames = vec![frame(FrameKind::Intra, levels[0]), frame(FrameKind::Inter, levels[1])];
+        EncodedVideo::new(1, 1, FrameRate::FPS30, Quality::Low, 2, frames)
+    }
+
+    #[test]
+    fn crafted_levels_past_the_codable_range_are_rejected() {
+        use crate::container::{ContainerReader, ContainerWriter};
+        let dec = Decoder::default();
+        // `level * q` overflows i64 for the first three.
+        for levels in [[1 << 62, 1], [1, 1 << 62], [-(1 << 62), 1], [1, 256], [-256, 1]] {
+            let video = ContainerReader::read(&ContainerWriter::write(&one_pixel_stream(levels)))
+                .expect("the container does not parse payloads");
+            assert!(
+                matches!(dec.decode_all(&video), Err(MediaError::CorruptBitstream(_))),
+                "{levels:?}"
+            );
+            assert!(dec.decode_gop_at(&video, 0).is_err(), "{levels:?}");
+            assert!(dec.decode_frame(&video, 1).is_err(), "{levels:?}");
+        }
+        let frames = dec.decode_all(&one_pixel_stream([-255, 255])).unwrap().frames;
+        assert_eq!(frames[0].get(0, 0).unwrap().r, 0);
+        assert_eq!(frames[1].get(0, 0).unwrap().r, 255);
     }
 
     #[test]
