@@ -23,6 +23,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
+use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 
 use vgbl_obs::hash::{fnv1a, fnv1a_extend};
@@ -112,46 +113,44 @@ impl SaveGame {
     /// Renders the text format once, returning it with its digest: the
     /// FNV-1a hash of the text around the `trace` line.
     pub(crate) fn render(&self) -> (String, u64) {
+        // Writing into a `String` cannot fail.
         let mut out = String::with_capacity(256);
-        out.push_str(&format!("vgbl-save {SAVE_VERSION}\n"));
-        out.push_str(&format!("game {:016x}\n", self.game_hash));
+        let _ = writeln!(out, "vgbl-save {SAVE_VERSION}");
+        let _ = writeln!(out, "game {:016x}", self.game_hash);
         let head = out.len();
         if let Some((trace_id, span_id)) = self.trace {
-            out.push_str(&format!("trace {trace_id:016x} {span_id:016x}\n"));
+            let _ = writeln!(out, "trace {trace_id:016x} {span_id:016x}");
         }
         let body = out.len();
-        out.push_str(&format!("scenario {}\n", self.state.current_scenario));
-        out.push_str(&format!("score {}\n", self.state.score));
-        out.push_str(&format!(
-            "clock {} {}\n",
-            self.state.scenario_clock_ms, self.state.total_clock_ms
-        ));
-        out.push_str(&format!("avatar {} {}\n", self.state.avatar.0, self.state.avatar.1));
+        let _ = writeln!(out, "scenario {}", self.state.current_scenario);
+        let _ = writeln!(out, "score {}", self.state.score);
+        let _ = writeln!(out, "clock {} {}", self.state.scenario_clock_ms, self.state.total_clock_ms);
+        let _ = writeln!(out, "avatar {} {}", self.state.avatar.0, self.state.avatar.1);
         for (name, on) in &self.state.flags {
-            out.push_str(&format!("flag {name} {}\n", if *on { "on" } else { "off" }));
+            let _ = writeln!(out, "flag {name} {}", if *on { "on" } else { "off" });
         }
         for (item, count) in self.inventory.items() {
-            out.push_str(&format!("item {item} {count}\n"));
+            let _ = writeln!(out, "item {item} {count}");
         }
         for reward in self.inventory.rewards() {
-            out.push_str(&format!("reward {reward}\n"));
+            let _ = writeln!(out, "reward {reward}");
         }
         for v in &self.state.visited {
-            out.push_str(&format!("visited {v}\n"));
+            let _ = writeln!(out, "visited {v}");
         }
         for e in &self.state.examined {
-            out.push_str(&format!("examined {e}\n"));
+            let _ = writeln!(out, "examined {e}");
         }
         if let Some(outcome) = &self.state.ended {
-            out.push_str(&format!("ended {outcome}\n"));
+            let _ = writeln!(out, "ended {outcome}");
         }
         // Checkpoint-only engine transients. Node before npc: the npc
         // name may contain spaces, the node number never does.
         if let Some((npc, node)) = &self.dialogue {
-            out.push_str(&format!("dialogue {node} {npc}\n"));
+            let _ = writeln!(out, "dialogue {node} {npc}");
         }
         for ms in &self.fired_timers {
-            out.push_str(&format!("fired {ms}\n"));
+            let _ = writeln!(out, "fired {ms}");
         }
         let digest = fnv1a_extend(fnv1a(&out.as_bytes()[..head]), &out.as_bytes()[body..]);
         (out, digest)

@@ -14,9 +14,16 @@
 //!   A record is *acknowledged* — durable, as far as the caller was
 //!   told — exactly when its flush returned `Ok`.
 //! * **Compacted snapshots.** Every [`StoreConfig::snapshot_every`]
-//!   acknowledged flushes the store writes a snapshot blob holding the
+//!   acknowledged flushes the store writes a snapshot holding the
 //!   latest record per session and drops the WAL prefix it covers,
 //!   bounding recovery work.
+//! * **Shared bytes.** A record is encoded once, at append; the staged
+//!   batch, every replica's WAL and every snapshot hold handles to
+//!   those bytes, so a snapshot costs one handle per session, not a
+//!   copy. Bit rot and tears act on what a read sees: a snapshot read
+//!   lays the records end to end, the blob a stored copy would hold,
+//!   and rot flips the same byte in it; a tear swaps the primary's
+//!   handle for a truncated copy.
 //! * **Per-record checksums.** Records and snapshots carry FNV-1a
 //!   checksums (the same construction as `SaveGame::digest`), so every
 //!   corruption below is *detectable* — the scrub pass never trusts a
@@ -31,7 +38,8 @@
 //!   `(seed, coordinate)` — reruns are byte-identical.
 //! * **Dual-write redundancy.** With [`StoreConfig::dual_write`] the
 //!   store keeps two replicas; [`DurableStore::scrub`] repairs a blob
-//!   that is corrupt on one replica from the intact copy on the other.
+//!   that is corrupt on one replica from the intact copy on the other,
+//!   pairing a record's copies by sequence number.
 //!
 //! [`DurableStore::power_loss`] models the fleet-wide outage: the
 //! volatile buffer vanishes, the in-flight write may tear, and
@@ -43,8 +51,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use vgbl_obs::hash::{fnv1a, mix, unit};
 
@@ -355,12 +365,13 @@ impl Default for StoreConfig {
 // Media
 // ---------------------------------------------------------------------------
 
-/// One durable blob on a replica: a WAL record or a snapshot.
+/// One durable WAL record on a replica. Its bytes are a handle shared
+/// with the staged batch, the other replica and `latest_acked`.
 #[derive(Debug, Clone)]
 struct Blob {
-    /// WAL records: the record's seq. Snapshots: `SNAP_BASE + idx`.
+    /// The record's seq.
     id: u64,
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
 }
 
 /// Snapshot blob ids live far above any realistic record seq so rot
@@ -371,8 +382,19 @@ const SNAP_BASE: u64 = 1 << 62;
 #[derive(Debug, Clone, Default)]
 struct Replica {
     wal: Vec<Blob>,
-    /// `(snapshot idx, upto_seq, blob)` — newest last.
-    snaps: Vec<(u64, u64, Blob)>,
+}
+
+/// A compacted snapshot: the handles of the records it holds, in
+/// session order. Every replica writes the same snapshot, so the store
+/// keeps one list for all of them; its blob is the records'
+/// concatenation, built once per scrub that checks it.
+#[derive(Debug, Clone)]
+struct Snapshot {
+    /// `SNAP_BASE + idx`: the rot coordinate.
+    id: u64,
+    /// The newest seq it covers.
+    upto: u64,
+    records: Vec<Arc<[u8]>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -486,16 +508,17 @@ pub struct FlushAck {
 pub struct DurableStore {
     cfg: StoreConfig,
     /// Volatile staged batch: `(seq, encoded bytes, session)`.
-    pending: Vec<(u64, Vec<u8>, u64)>,
+    pending: Vec<(u64, Arc<[u8]>, u64)>,
     /// Latest *acknowledged* encoded record per session — the compaction
     /// source for snapshots (equivalent to reading the medium back:
     /// same bytes, and rot is applied at read time, not write time).
-    latest_acked: BTreeMap<u64, (u64, Vec<u8>)>,
+    latest_acked: BTreeMap<u64, (u64, Arc<[u8]>)>,
     replicas: Vec<Replica>,
+    /// Every snapshot written, on every replica alike — newest last.
+    snapshots: Vec<Snapshot>,
     next_seq: u64,
     flush_idx: u64,
     power_idx: u64,
-    next_snap: u64,
     stats: StoreStats,
 }
 
@@ -509,10 +532,10 @@ impl DurableStore {
             pending: Vec::new(),
             latest_acked: BTreeMap::new(),
             replicas: vec![Replica::default(); n],
+            snapshots: Vec::new(),
             next_seq: 1,
             flush_idx: 0,
             power_idx: 0,
-            next_snap: 0,
             stats: StoreStats::default(),
         }
     }
@@ -538,7 +561,7 @@ impl DurableStore {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.appended += 1;
-        self.pending.push((seq, encode(seq, record), record.session));
+        self.pending.push((seq, encode(seq, record).into(), record.session));
         seq
     }
 
@@ -595,21 +618,19 @@ impl DurableStore {
         Ok(FlushAck { first_seq, records })
     }
 
-    /// Writes a compacted snapshot (latest acknowledged record per
-    /// session, concatenated) and drops the WAL prefix it covers.
+    /// Writes a compacted snapshot (the latest acknowledged record per
+    /// session, by handle) and drops the WAL prefix it covers.
     fn take_snapshot(&mut self) {
         if self.latest_acked.is_empty() {
             return;
         }
         let upto = self.next_seq - 1;
-        let mut bytes = Vec::new();
-        for (_, (_, rec)) in self.latest_acked.iter() {
-            bytes.extend_from_slice(rec);
-        }
-        let idx = self.next_snap;
-        self.next_snap += 1;
+        self.snapshots.push(Snapshot {
+            id: SNAP_BASE + self.snapshots.len() as u64,
+            upto,
+            records: self.latest_acked.values().map(|(_, rec)| rec.clone()).collect(),
+        });
         for r in &mut self.replicas {
-            r.snaps.push((idx, upto, Blob { id: SNAP_BASE + idx, bytes: bytes.clone() }));
             r.wal.retain(|b| b.id > upto);
         }
         self.stats.snapshots += 1;
@@ -634,49 +655,28 @@ impl DurableStore {
         if let Some((seq, bytes, _)) = staged.into_iter().next() {
             // The in-flight write landed partially on the primary.
             let cut = bytes.len() / 2;
-            self.replicas[0].wal.push(Blob { id: seq, bytes: bytes[..cut].to_vec() });
+            self.replicas[0].wal.push(Blob { id: seq, bytes: bytes[..cut].into() });
         } else if let Some(last) = self.replicas[0].wal.last_mut() {
             // Nothing staged: the tear hits the newest durable blob —
             // an acknowledged record, provably corrupt at scrub time.
+            // Only the primary's handle changes: replica 1's copy and
+            // `latest_acked` keep the full bytes.
             let cut = last.bytes.len() / 2;
-            last.bytes.truncate(cut);
+            last.bytes = last.bytes[..cut].into();
         }
     }
 
-    /// Reads blob `seq`'s bytes from `replica`, applying bit rot as a
+    /// Reads blob `id`'s bytes from `replica`, applying bit rot as a
     /// pure function of `(replica, id)` — the same blob always reads the
-    /// same way, so scrubs and reruns agree.
-    fn read(&self, replica: u32, blob: &Blob) -> Vec<u8> {
-        if !self.cfg.faults.rot_at(replica, blob.id) || blob.bytes.is_empty() {
-            return blob.bytes.clone();
+    /// same way, so scrubs and reruns agree. An intact read borrows.
+    fn read<'a>(&self, replica: u32, id: u64, bytes: &'a [u8]) -> Cow<'a, [u8]> {
+        if bytes.is_empty() || !self.cfg.faults.rot_at(replica, id) {
+            return Cow::Borrowed(bytes);
         }
-        let mut bytes = blob.bytes.clone();
-        let at = self.cfg.faults.rot_byte(replica, blob.id, bytes.len());
+        let mut bytes = bytes.to_vec();
+        let at = self.cfg.faults.rot_byte(replica, id, bytes.len());
         bytes[at] ^= 0x40;
-        bytes
-    }
-
-    /// Reads record blob `seq` across replicas: `Ok` with the decoded
-    /// record (noting a repair when the primary copy was bad), or `Err`
-    /// with the primary's damage classification when no replica proves
-    /// intact.
-    fn read_record(
-        &self,
-        blobs: &[Option<&Blob>],
-    ) -> std::result::Result<((u64, CheckpointRecord), bool), DecodeFail> {
-        let mut first_fail = None;
-        for (ri, blob) in blobs.iter().enumerate() {
-            let Some(blob) = blob else { continue };
-            match decode(&self.read(ri as u32, blob)) {
-                Ok(rec) => return Ok((rec, ri > 0 || first_fail.is_some())),
-                Err(f) => {
-                    if first_fail.is_none() {
-                        first_fail = Some(f);
-                    }
-                }
-            }
-        }
-        Err(first_fail.unwrap_or(DecodeFail::Truncated))
+        Cow::Owned(bytes)
     }
 
     /// Verifies every snapshot and WAL blob across replicas. Returns
@@ -687,40 +687,34 @@ impl DurableStore {
         // Newest intact snapshot wins; a corrupt one falls back to the
         // next older (repair across replicas applies here too).
         let mut base: Vec<(u64, CheckpointRecord, bool)> = Vec::new();
-        let primary = &self.replicas[0];
-        for si in (0..primary.snaps.len()).rev() {
+        for snap in self.snapshots.iter().rev() {
             report.snapshots_checked += 1;
-            let (_, upto, _) = primary.snaps[si];
-            let blobs: Vec<Option<&Blob>> =
-                self.replicas.iter().map(|r| r.snaps.get(si).map(|(_, _, b)| b)).collect();
-            let mut ok = None;
-            for (ri, blob) in blobs.iter().enumerate() {
-                let Some(blob) = blob else { continue };
-                let bytes = self.read(ri as u32, blob);
-                if let Some(records) = parse_snapshot(&bytes) {
-                    ok = Some((records, ri > 0));
-                    break;
-                }
-            }
-            match ok {
-                Some((records, repaired)) => {
-                    report.snapshot_used = Some(upto);
+            // The blob each replica holds: the records laid end to end.
+            let blob = snap.records.concat();
+            let replicas = 0..self.replicas.len() as u32;
+            let reads = replicas.map(|ri| parse_snapshot(&self.read(ri, snap.id, &blob)).ok_or(()));
+            match first_intact(reads) {
+                Ok((records, repaired)) => {
+                    report.snapshot_used = Some(snap.upto);
                     base = records.into_iter().map(|(s, r)| (s, r, repaired)).collect();
                     break;
                 }
-                None => report.snapshots_corrupt += 1,
+                Err(()) => report.snapshots_corrupt += 1,
             }
         }
         let upto = report.snapshot_used.unwrap_or(0);
+        // A tear can land an in-flight write on the primary alone, so
+        // replica WALs need not line up by position: pair copies by seq.
+        let copies: Vec<BTreeMap<u64, &Blob>> = self.replicas[1..]
+            .iter()
+            .map(|r| r.wal.iter().map(|b| (b.id, b)).collect())
+            .collect();
         let mut wal: Vec<(u64, CheckpointRecord, bool)> = Vec::new();
-        for (wi, blob) in primary.wal.iter().enumerate() {
-            if blob.id <= upto {
-                continue;
-            }
+        for blob in self.replicas[0].wal.iter().filter(|b| b.id > upto) {
             report.records_checked += 1;
-            let blobs: Vec<Option<&Blob>> =
-                self.replicas.iter().map(|r| r.wal.get(wi)).collect();
-            match self.read_record(&blobs) {
+            let others = copies.iter().zip(1..).filter_map(|(c, ri)| Some((ri, *c.get(&blob.id)?)));
+            let reads = std::iter::once((0, blob)).chain(others);
+            match first_intact(reads.map(|(ri, b)| decode(&self.read(ri, b.id, &b.bytes)))) {
                 Ok(((seq, rec), repaired)) => {
                     if repaired {
                         report.repaired.push(seq);
@@ -773,6 +767,19 @@ impl DurableStore {
             sessions.insert(session, RecoveredCheckpoint { seq, record, stale });
         }
         Recovery { sessions, scrub }
+    }
+}
+
+/// The first of one blob's reads, in replica order, that proved intact,
+/// and whether it was a repair (not the primary's copy); else the
+/// primary's failure.
+fn first_intact<T, E>(
+    reads: impl IntoIterator<Item = std::result::Result<T, E>>,
+) -> std::result::Result<(T, bool), E> {
+    let mut reads = reads.into_iter();
+    match reads.next().expect("the primary holds a copy") {
+        Ok(v) => Ok((v, false)),
+        Err(e) => reads.find_map(|r| r.ok()).map(|v| (v, true)).ok_or(e),
     }
 }
 
