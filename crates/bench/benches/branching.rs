@@ -35,7 +35,6 @@ fn bench(c: &mut Criterion) {
             let config = SessionConfig {
                 frame_size: (1000, 1000),
                 inventory_window: vgbl::scene::Rect::new(900, 0, 100, 1000),
-                validate_on_start: false,
                 reach: None,
             };
             b.iter(|| {

@@ -10,8 +10,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use vgbl::author::wizard::{quiz_template, tour_template};
-use vgbl::author::Project;
+use vgbl::author::object_editor::ObjectEditor;
+use vgbl::author::wizard::{escape_template, quiz_template, tour_template};
+use vgbl::author::{CommandStack, Project};
 use vgbl::media::codec::{EncodeConfig, EncodedVideo, Encoder, Quality};
 use vgbl::media::synth::{Footage, FootageSpec};
 use vgbl::media::{FrameRate, SegmentTable};
@@ -59,6 +60,39 @@ pub fn chain_graph(n: usize) -> SceneGraph {
         ));
     }
     g
+}
+
+/// The graph a sessionbench workload plays: the tour (a hub with a door
+/// to each room) or the escape chain, authored at 64×48 with `rooms`
+/// rooms, plus the edits sessionbench's set-up makes on top
+/// (`sessionbench/src/game.rs::edit`, descriptions aside): a hint button
+/// in every scenario and, on the tour, two onward doors per room and no
+/// exit. `classroom_burst` plays the eight-room tour, `fleet_recovery`
+/// the eight-room escape.
+pub fn lesson_graph(tour: bool, rooms: usize) -> SceneGraph {
+    let mut project =
+        if tour { tour_template("lesson", rooms) } else { escape_template("lesson", rooms) };
+    let mut stack = CommandStack::new();
+    let names: Vec<String> = project.graph.scenarios().iter().map(|s| s.name.clone()).collect();
+    for name in names {
+        let mut ed = ObjectEditor::new(&mut project, &mut stack, &name);
+        ed.add_button("hint", "Hint", Rect::new(2, 38, 12, 8)).expect("fresh name");
+        let text = format!("text \"Look closely at {name}.\"");
+        ed.wire("hint", "click", None, &[text.as_str(), "score 1"]).expect("valid actions");
+    }
+    if tour {
+        for r in 1..=rooms {
+            let mut ed = ObjectEditor::new(&mut project, &mut stack, &format!("room{r}"));
+            ed.add_button("onward", "Onward", Rect::new(50, 38, 12, 8)).expect("fresh name");
+            let goto = format!("goto room{}", r % rooms + 1);
+            ed.wire("onward", "click", None, &[goto.as_str()]).expect("valid actions");
+            ed.add_button("skip", "Skip", Rect::new(34, 38, 12, 8)).expect("fresh name");
+            let goto = format!("goto room{}", (r + 1) % rooms + 1);
+            ed.wire("skip", "click", None, &[goto.as_str()]).expect("valid actions");
+        }
+        ObjectEditor::new(&mut project, &mut stack, "hub").remove("exit").expect("the tour has an exit");
+    }
+    project.graph
 }
 
 /// A scenario packed with `objects` interactive objects, each carrying a

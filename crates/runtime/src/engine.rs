@@ -20,7 +20,6 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use vgbl_obs::{Counter, Obs};
-use vgbl_scene::validate::validate;
 use vgbl_scene::{ObjectKind, Rect, SceneGraph, Scenario};
 use vgbl_script::{Action, EventKind, TriggerSet};
 
@@ -44,9 +43,6 @@ pub struct SessionConfig {
     pub frame_size: (u32, u32),
     /// The inventory window's region: drags ending here collect items.
     pub inventory_window: Rect,
-    /// Validate the graph on session start (recommended; benches may
-    /// disable it to isolate dispatch cost).
-    pub validate_on_start: bool,
     /// Adventure-style reach: when set, the avatar must be within this
     /// many pixels of an object to interact with it — clicking something
     /// out of reach walks the avatar toward it instead ("users can
@@ -63,7 +59,6 @@ impl SessionConfig {
         SessionConfig {
             frame_size: (width, height),
             inventory_window: Rect::new((width - win_w) as i32, 0, win_w, height),
-            validate_on_start: true,
             reach: None,
         }
     }
@@ -140,14 +135,13 @@ impl GameSession {
     /// triggers.
     ///
     /// # Errors
-    /// [`RuntimeError::UnplayableGame`] when validation finds errors.
+    /// [`RuntimeError::UnplayableGame`] when validation finds errors
+    /// (worked out once per graph, see [`SceneGraph::validation_errors`]).
     pub fn new(graph: Arc<SceneGraph>, config: SessionConfig) -> Result<(GameSession, Vec<Feedback>)> {
-        if config.validate_on_start {
-            let report = validate(&graph, Some(config.frame_size));
-            if !report.is_playable() {
-                let msgs: Vec<String> = report.errors().map(|e| e.to_string()).collect();
-                return Err(RuntimeError::UnplayableGame(msgs.join("; ")));
-            }
+        let errors = graph.validation_errors();
+        if !errors.is_empty() {
+            let msgs: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
+            return Err(RuntimeError::UnplayableGame(msgs.join("; ")));
         }
         let start_id = graph.start()?;
         let start_name = graph
@@ -1015,16 +1009,7 @@ mod tests {
             EventKind::Enter,
             vec![Action::GoTo("ping".into())],
         ));
-        let err = GameSession::new(
-            Arc::new(g),
-            SessionConfig {
-                frame_size: (64, 48),
-                inventory_window: Rect::new(48, 0, 16, 48),
-                validate_on_start: false, // warnings only anyway; isolate the loop
-                reach: None,
-            },
-        )
-        .unwrap_err();
+        let err = GameSession::new(Arc::new(g), SessionConfig::for_frame(64, 48)).unwrap_err();
         assert!(matches!(err, RuntimeError::TransitionLoop { .. }));
     }
 

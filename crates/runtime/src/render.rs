@@ -21,6 +21,9 @@ use crate::engine::GameSession;
 use crate::feedback::Feedback;
 use crate::Result;
 
+#[cfg(test)]
+mod oracle;
+
 /// Luma-to-character ramp, dark to bright.
 const RAMP: &[u8] = b" .:-=+*#%@";
 
@@ -28,51 +31,28 @@ const RAMP: &[u8] = b" .:-=+*#%@";
 /// (a decoded video frame), bottom-to-top by z. Image and item objects
 /// blit their assets (honouring colour keys); buttons draw as bordered
 /// fills; NPC anchors draw their asset when one exists under the NPC's
-/// name, else a marker frame. The avatar draws as a small cross.
+/// name, else a marker frame; a button or marker of zero area draws
+/// nothing. The avatar draws as a small cross.
+///
+/// The objects come pre-rendered from the graph's
+/// [`SceneGraph::overlay`](vgbl_scene::SceneGraph::overlay): the frame is
+/// copied once, each layer whose gate object is visible is copied on
+/// run by run, and the avatar is drawn on top.
 pub fn compose_frame(session: &GameSession, base: &Frame) -> Result<Frame> {
     let mut out = base.clone();
     let scenario = session.current_scenario();
-    let graph = session.graph();
     let env = crate::state::GameEnv {
         state: session.state(),
         inventory: session.inventory(),
     };
-    for object in scenario.draw_order() {
-        if !object.is_visible(&env)? {
-            continue;
-        }
-        let b = object.bounds;
-        match &object.kind {
-            ObjectKind::Image { asset } | ObjectKind::Item { asset, .. } => {
-                if let Some(a) = graph.assets().get(asset) {
-                    match a.color_key {
-                        Some(key) => out.blit_keyed(&a.image, b.x as i64, b.y as i64, key),
-                        None => out.blit(&a.image, b.x as i64, b.y as i64),
-                    }
-                }
-            }
-            ObjectKind::Button { .. } => {
-                out.fill_rect(b.x as i64, b.y as i64, b.w, b.h, Rgb::new(60, 60, 90));
-                // 1px border.
-                out.fill_rect(b.x as i64, b.y as i64, b.w, 1, Rgb::WHITE);
-                out.fill_rect(b.x as i64, b.bottom() - 1, b.w, 1, Rgb::WHITE);
-                out.fill_rect(b.x as i64, b.y as i64, 1, b.h, Rgb::WHITE);
-                out.fill_rect(b.right() - 1, b.y as i64, 1, b.h, Rgb::WHITE);
-            }
-            ObjectKind::NpcAnchor { npc } => {
-                if let Some(a) = graph.assets().get(npc) {
-                    match a.color_key {
-                        Some(key) => out.blit_keyed(&a.image, b.x as i64, b.y as i64, key),
-                        None => out.blit(&a.image, b.x as i64, b.y as i64),
-                    }
-                } else {
-                    out.fill_rect(b.x as i64, b.y as i64, b.w, 1, Rgb::new(230, 200, 80));
-                    out.fill_rect(b.x as i64, b.bottom() - 1, b.w, 1, Rgb::new(230, 200, 80));
-                    out.fill_rect(b.x as i64, b.y as i64, 1, b.h, Rgb::new(230, 200, 80));
-                    out.fill_rect(b.right() - 1, b.y as i64, 1, b.h, Rgb::new(230, 200, 80));
-                }
+    for layer in session.graph().overlay(scenario.id) {
+        if let Some(id) = layer.gate() {
+            let object = scenario.object(id).expect("a gate is an object of its scenario");
+            if !object.is_visible(&env)? {
+                continue;
             }
         }
+        layer.draw(&mut out);
     }
     // Avatar cross.
     let (ax, ay) = session.state().avatar;
@@ -316,6 +296,28 @@ mod tests {
         let after = compose_frame(&s, &base).unwrap();
         // Now invisible (visible_when !has("fan")).
         assert_eq!(after.get(14, 13).unwrap(), Rgb::BLACK);
+    }
+
+    #[test]
+    fn compose_draws_nothing_for_empty_buttons_and_markers() {
+        let mut g = vgbl_scene::SceneGraph::new();
+        g.add_npc(vgbl_scene::Npc::new("guide", vgbl_scene::DialogueTree::single_line("Hi.")));
+        let id = g.add_scenario("hall", vgbl_media::SegmentId(0)).unwrap();
+        let hall = g.scenario_mut(id).unwrap();
+        let flat = ObjectKind::Button { label: "flat".into() };
+        hall.add_object("flat", flat, vgbl_scene::Rect::new(10, 10, 5, 0)).unwrap();
+        let npc = ObjectKind::NpcAnchor { npc: "guide".into() };
+        hall.add_object("thin", npc, vgbl_scene::Rect::new(30, 20, 0, 4)).unwrap();
+        let (s, _) =
+            GameSession::new(Arc::new(g), SessionConfig::for_frame(FRAME.0, FRAME.1)).unwrap();
+        let base = Frame::filled(FRAME.0, FRAME.1, Rgb::BLACK).unwrap();
+        let out = compose_frame(&s, &base).unwrap();
+        for (x, y) in (10..15).flat_map(|x| [(x, 9), (x, 10)]) {
+            assert_eq!(out.get(x, y), Some(Rgb::BLACK), "empty button painted ({x}, {y})");
+        }
+        for (x, y) in (20..24).flat_map(|y| [(29, y), (30, y)]) {
+            assert_eq!(out.get(x, y), Some(Rgb::BLACK), "empty marker painted ({x}, {y})");
+        }
     }
 
     #[test]

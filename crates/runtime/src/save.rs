@@ -21,10 +21,8 @@
 //! ended fixed        (only when over)
 //! ```
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt::Write;
-use std::hash::{Hash, Hasher};
 
 use vgbl_obs::hash::{fnv1a, fnv1a_extend};
 use vgbl_scene::SceneGraph;
@@ -47,7 +45,8 @@ pub const SAVE_VERSION: u32 = 1;
 /// forgetting an open conversation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaveGame {
-    /// Hash of the game content the save belongs to.
+    /// Hash of the game content the save belongs to
+    /// ([`SceneGraph::content_hash`]).
     pub game_hash: u64,
     /// The player's state.
     pub state: GameState,
@@ -66,24 +65,11 @@ pub struct SaveGame {
     pub trace: Option<(u64, u64)>,
 }
 
-/// A stable hash of the game content (scenario names, in order, plus
-/// object names) used to detect loading a save into the wrong game.
-pub fn content_hash(graph: &SceneGraph) -> u64 {
-    let mut h = DefaultHasher::new();
-    for s in graph.scenarios() {
-        s.name.hash(&mut h);
-        for o in s.objects() {
-            o.name.hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
 impl SaveGame {
     /// Snapshots a session's state against its graph.
     pub fn capture(graph: &SceneGraph, state: &GameState, inventory: &Inventory) -> SaveGame {
         SaveGame {
-            game_hash: content_hash(graph),
+            game_hash: graph.content_hash(),
             state: state.clone(),
             inventory: inventory.clone(),
             dialogue: None,
@@ -289,7 +275,7 @@ impl SaveGame {
 
     /// Verifies the save belongs to `graph`.
     pub fn verify(&self, graph: &SceneGraph) -> Result<()> {
-        let expected = content_hash(graph);
+        let expected = graph.content_hash();
         if self.game_hash != expected {
             return Err(RuntimeError::SaveMismatch(format!(
                 "save is for game {:016x}, current game is {expected:016x}",
@@ -437,10 +423,13 @@ mod tests {
 
     #[test]
     fn content_hash_is_stable_and_discriminating() {
-        let a = content_hash(&fix_the_computer());
-        let b = content_hash(&fix_the_computer());
+        let a = fix_the_computer().content_hash();
+        let b = fix_the_computer().content_hash();
         assert_eq!(a, b);
-        let c = content_hash(&crate::fixtures::two_room_loop());
+        // Recorded before the hash was memoised on the graph: every save
+        // of the fixture game carries it.
+        assert_eq!(a, 0x0742_1463_fa33_8270);
+        let c = crate::fixtures::two_room_loop().content_hash();
         assert_ne!(a, c);
     }
 

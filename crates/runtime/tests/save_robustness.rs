@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use vgbl_runtime::error::RuntimeError;
 use vgbl_runtime::fixtures::{fix_the_computer, two_room_loop};
-use vgbl_runtime::save::{content_hash, SaveGame};
+use vgbl_runtime::save::SaveGame;
 use vgbl_runtime::{GameState, Inventory};
 
 /// A representative save with every section populated.
@@ -152,7 +152,7 @@ proptest! {
         let loaded = SaveGame::from_text(&text).expect("well-formed text parses");
         prop_assert_eq!(loaded.game_hash, hash);
         let graph = fix_the_computer();
-        if hash == content_hash(&graph) {
+        if hash == graph.content_hash() {
             prop_assert!(loaded.verify(&graph).is_ok());
         } else {
             prop_assert!(matches!(
@@ -161,7 +161,7 @@ proptest! {
             ));
         }
         // And it can never verify against a different game.
-        prop_assert!(hash == content_hash(&two_room_loop())
+        prop_assert!(hash == two_room_loop().content_hash()
             || loaded.verify(&two_room_loop()).is_err());
     }
 }

@@ -7,12 +7,15 @@
 //! them by name.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::sync::OnceLock;
 
 use vgbl_media::SegmentId;
 
 use crate::asset::AssetStore;
+use crate::compiled::{Compiled, Layer};
 use crate::npc::Npc;
 use crate::scenario::{Scenario, ScenarioId};
+use crate::validate::Issue;
 use crate::{Result, SceneError};
 
 /// The complete interactive-video game content: scenarios, NPCs, assets.
@@ -41,12 +44,37 @@ use crate::{Result, SceneError};
 /// assert_eq!(g.edges().len(), 1);
 /// assert_eq!(g.reachable().unwrap().len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct SceneGraph {
     scenarios: Vec<Scenario>,
     start: Option<ScenarioId>,
     npcs: BTreeMap<String, Npc>,
     assets: AssetStore,
+    /// What publishing fixes about this content, filled on first use and
+    /// dropped by every `&mut` method (see [`crate::compiled`]).
+    compiled: OnceLock<Compiled>,
+}
+
+impl PartialEq for SceneGraph {
+    /// Compares content only: a compiled and an uncompiled copy are equal.
+    fn eq(&self, other: &SceneGraph) -> bool {
+        self.scenarios == other.scenarios
+            && self.start == other.start
+            && self.npcs == other.npcs
+            && self.assets == other.assets
+    }
+}
+
+impl std::fmt::Debug for SceneGraph {
+    /// Prints content only, so whether the graph is compiled never shows.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SceneGraph")
+            .field("scenarios", &self.scenarios)
+            .field("start", &self.start)
+            .field("npcs", &self.npcs)
+            .field("assets", &self.assets)
+            .finish()
+    }
 }
 
 impl SceneGraph {
@@ -55,12 +83,39 @@ impl SceneGraph {
         SceneGraph::default()
     }
 
+    fn compiled(&self) -> &Compiled {
+        self.compiled.get_or_init(|| Compiled::of(self))
+    }
+
+    /// The errors [`crate::validate::validate`] reports for this graph,
+    /// in its order, worked out once. No error depends on the frame
+    /// size, so these are the errors at every size.
+    pub fn validation_errors(&self) -> &[Issue] {
+        &self.compiled().errors
+    }
+
+    /// A stable hash of the game content (scenario names, in order, plus
+    /// object names), worked out once. Save games carry it to detect
+    /// loading into the wrong game.
+    pub fn content_hash(&self) -> u64 {
+        self.compiled().hash
+    }
+
+    /// The scenario's mounted objects pre-rendered as [`Layer`]s, bottom
+    /// to top, worked out once; empty for an unknown id. Drawing each
+    /// layer whose gate object is visible, in order, draws what drawing
+    /// the visible objects one by one in [`Scenario::draw_order`] draws.
+    pub fn overlay(&self, id: ScenarioId) -> &[Layer] {
+        self.compiled().overlays.get(id.0 as usize).map_or(&[], Vec::as_slice)
+    }
+
     /// Adds a scenario over `segment`, returning its id. The first
     /// scenario added becomes the start scenario until overridden.
     ///
     /// # Errors
     /// [`SceneError::DuplicateScenario`] when the name is taken.
     pub fn add_scenario(&mut self, name: impl Into<String>, segment: SegmentId) -> Result<ScenarioId> {
+        self.compiled.take();
         let name = name.into();
         if self.scenarios.iter().any(|s| s.name == name) {
             return Err(SceneError::DuplicateScenario(name));
@@ -95,6 +150,7 @@ impl SceneGraph {
 
     /// Mutable scenario access.
     pub fn scenario_mut(&mut self, id: ScenarioId) -> Option<&mut Scenario> {
+        self.compiled.take();
         self.scenarios.get_mut(id.0 as usize)
     }
 
@@ -105,6 +161,7 @@ impl SceneGraph {
 
     /// Mutable lookup by name.
     pub fn scenario_by_name_mut(&mut self, name: &str) -> Option<&mut Scenario> {
+        self.compiled.take();
         self.scenarios.iter_mut().find(|s| s.name == name)
     }
 
@@ -124,6 +181,7 @@ impl SceneGraph {
 
     /// Sets the start scenario by name.
     pub fn set_start(&mut self, name: &str) -> Result<()> {
+        self.compiled.take();
         let id = self.require_scenario(name)?.id;
         self.start = Some(id);
         Ok(())
@@ -131,6 +189,7 @@ impl SceneGraph {
 
     /// Registers an NPC (replacing any previous with the same name).
     pub fn add_npc(&mut self, npc: Npc) {
+        self.compiled.take();
         self.npcs.insert(npc.name.clone(), npc);
     }
 
@@ -151,6 +210,7 @@ impl SceneGraph {
 
     /// Mutable asset registry access.
     pub fn assets_mut(&mut self) -> &mut AssetStore {
+        self.compiled.take();
         &mut self.assets
     }
 
@@ -159,6 +219,7 @@ impl SceneGraph {
     /// scenario when the removed one was the start. `goto` actions that
     /// targeted it become dangling (reported by validation).
     pub fn remove_scenario(&mut self, name: &str) -> Result<Scenario> {
+        self.compiled.take();
         let idx = self
             .scenarios
             .iter()
@@ -184,6 +245,7 @@ impl SceneGraph {
     /// Renames a scenario and rewrites every `goto` action that targeted
     /// the old name, so transitions never silently dangle on rename.
     pub fn rename_scenario(&mut self, old: &str, new: &str) -> Result<()> {
+        self.compiled.take();
         if self.scenarios.iter().any(|s| s.name == new) {
             return Err(SceneError::DuplicateScenario(new.to_owned()));
         }
@@ -588,5 +650,105 @@ mod dot_tests {
         let dot = g.to_dot();
         assert!(dot.contains("missing_no_where"));
         assert!(dot.contains("color=red"));
+    }
+}
+
+#[cfg(test)]
+mod memo_tests {
+    use super::*;
+    use crate::asset::ImageAsset;
+    use crate::geometry::Rect;
+    use crate::npc::DialogueTree;
+    use crate::object::ObjectKind;
+
+    fn graph() -> SceneGraph {
+        let mut g = SceneGraph::new();
+        g.assets_mut().insert(ImageAsset::placeholder("lamp", 6, 6));
+        g.add_npc(Npc::new("guide", DialogueTree::single_line("Hi.")));
+        let a = g.add_scenario("a", SegmentId(0)).unwrap();
+        g.add_scenario("b", SegmentId(1)).unwrap();
+        let s = g.scenario_mut(a).unwrap();
+        s.add_object("lamp", ObjectKind::Image { asset: "lamp".into() }, Rect::new(1, 1, 6, 6))
+            .unwrap();
+        s.add_object("go", ObjectKind::Button { label: "Go".into() }, Rect::new(8, 1, 5, 4))
+            .unwrap();
+        g
+    }
+
+    #[test]
+    fn every_mut_method_drops_the_memo() {
+        type Edit = fn(&mut SceneGraph);
+        let edits: [(&str, Edit); 8] = [
+            ("add_scenario", |g| {
+                let _ = g.add_scenario("c", SegmentId(2));
+            }),
+            ("scenario_mut", |g| {
+                let _ = g.scenario_mut(ScenarioId(0));
+            }),
+            ("scenario_by_name_mut", |g| {
+                let _ = g.scenario_by_name_mut("b");
+            }),
+            ("set_start", |g| {
+                let _ = g.set_start("b");
+            }),
+            ("add_npc", |g| g.add_npc(Npc::new("owl", DialogueTree::single_line("Hoo.")))),
+            ("assets_mut", |g| {
+                let _ = g.assets_mut();
+            }),
+            ("remove_scenario", |g| {
+                let _ = g.remove_scenario("b");
+            }),
+            ("rename_scenario", |g| {
+                let _ = g.rename_scenario("b", "c");
+            }),
+        ];
+        for (name, edit) in edits {
+            let mut g = graph();
+            g.content_hash();
+            assert!(g.compiled.get().is_some());
+            edit(&mut g);
+            assert!(g.compiled.get().is_none(), "`{name}` kept a stale memo");
+        }
+    }
+
+    #[test]
+    fn clones_carry_the_memo_and_equality_ignores_it() {
+        let compiled = graph();
+        let hash = compiled.content_hash();
+        let copy = compiled.clone();
+        assert!(copy.compiled.get().is_some());
+        assert_eq!(copy.content_hash(), hash);
+        let plain = graph();
+        assert!(plain.compiled.get().is_none());
+        assert_eq!(compiled, plain);
+        let mut other = graph();
+        other.set_start("b").unwrap();
+        assert_ne!(compiled, other);
+    }
+
+    #[test]
+    fn debug_prints_what_the_derive_printed() {
+        mod derived {
+            use super::super::*;
+
+            #[derive(Debug)]
+            #[allow(dead_code)]
+            pub(super) struct SceneGraph<'a> {
+                pub(super) scenarios: &'a [Scenario],
+                pub(super) start: Option<ScenarioId>,
+                pub(super) npcs: &'a BTreeMap<String, Npc>,
+                pub(super) assets: &'a AssetStore,
+            }
+        }
+        let g = graph();
+        g.content_hash();
+        let d = derived::SceneGraph {
+            scenarios: &g.scenarios,
+            start: g.start,
+            npcs: &g.npcs,
+            assets: &g.assets,
+        };
+        assert_eq!(format!("{g:?}"), format!("{d:?}"));
+        assert_eq!(format!("{g:#?}"), format!("{d:#?}"));
     }
 }

@@ -17,11 +17,16 @@
 //!   (extracted from `goto` actions).
 //! * [`validate`] — static validation: dangling transitions, unreachable
 //!   scenarios, unobtainable items, dead ends and more.
+//! * [`compiled`] — what publishing fixes about a graph, worked out once
+//!   per graph and kept on it: the validation errors, the content hash
+//!   and each scenario's objects pre-rendered as layers of pixel runs,
+//!   which the runtime copies onto every frame it composes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod asset;
+pub mod compiled;
 pub mod geometry;
 pub mod graph;
 pub mod npc;
@@ -30,6 +35,7 @@ pub mod scenario;
 pub mod validate;
 
 pub use asset::{AssetStore, ImageAsset};
+pub use compiled::Layer;
 pub use geometry::{Point, Rect};
 pub use graph::SceneGraph;
 pub use npc::{DialogueNode, DialogueTree, Npc};
