@@ -19,9 +19,16 @@
 //! covers `Quality::High`, the one preset the other pins do not decode,
 //! at 128×96 with GOP 12 and a ±3 search: the shape of sessionbench's
 //! `branchy_watch` stream.
+//!
+//! `BRANCHY_PINNED` was pinned the same way, before the pair-table
+//! residual decode. Its footage has `branchy_watch`'s settings as well
+//! as its shape: `Quality::Medium`, shots of 24 frames with no lighting
+//! drift, noise 2 and two sprites of one size and speed per shot.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use vgbl::media::codec::{Decoder, EncodeConfig, EncodedVideo, Encoder, Quality};
-use vgbl::media::synth::Footage;
+use vgbl::media::synth::{Footage, FootageSpec, SpriteShape};
 use vgbl::media::FrameKind;
 use vgbl::obs::hash::{fnv1a_extend, FNV_OFFSET};
 use vgbl_bench::{bench_footage, encode};
@@ -38,6 +45,9 @@ const ODD_SIZE_PINNED: [(&str, u64); 2] =
 
 const HIGH_PINNED: [(&str, u64); 2] =
     [("high_encoded", 0x18703a97e938a0ab), ("high_decoded", 0xdd4b596b92ade88a)];
+
+const BRANCHY_PINNED: [(&str, u64); 2] =
+    [("branchy_encoded", 0xec82dcbe6e9d5b37), ("branchy_decoded", 0x98f24e0ac52cace9)];
 
 fn encoded_checksum(video: &EncodedVideo) -> u64 {
     let mut h = FNV_OFFSET;
@@ -110,4 +120,34 @@ fn high_quality_codec_output_is_byte_identical_to_pin() {
     let config = EncodeConfig { quality: Quality::High, gop: 12, threads: 1, search_range: 3 };
     let [encoded, decoded] = encode_checksums(&footage, config);
     assert_pinned(&HIGH_PINNED, &[("high_encoded", encoded), ("high_decoded", decoded)]);
+}
+
+/// `shots` seeded 128×96 shots with `branchy_watch`'s footage settings:
+/// 24 frames each, no lighting drift, noise 2, and two 16×16 sprites
+/// moving 2 and 1.5 pixels a frame.
+fn branchy_footage(shots: usize, seed: u64) -> Footage {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut spec = FootageSpec::random(&mut rng, 128, 96, shots, 24, 24);
+    for shot in &mut spec.shots {
+        shot.luma_drift = 0;
+        shot.noise = 2;
+        let first = shot.sprites[0].clone();
+        shot.sprites.resize(2, first);
+        for sprite in &mut shot.sprites {
+            sprite.shape = SpriteShape::Rect(16, 16);
+            sprite.vel = (2.0f32.copysign(sprite.vel.0), 1.5f32.copysign(sprite.vel.1));
+        }
+    }
+    spec.render().expect("branchy footage renders")
+}
+
+#[test]
+fn branchy_codec_output_is_byte_identical_to_pin() {
+    let footage = branchy_footage(3, 42);
+    let config = EncodeConfig { quality: Quality::Medium, gop: 12, threads: 1, search_range: 3 };
+    let [encoded, decoded] = encode_checksums(&footage, config);
+    assert_pinned(
+        &BRANCHY_PINNED,
+        &[("branchy_encoded", encoded), ("branchy_decoded", decoded)],
+    );
 }

@@ -36,6 +36,7 @@ use vgbl_obs::{Counter, Obs, Series, SeriesSpec};
 use crate::codec::EncodedVideo;
 use crate::error::MediaError;
 use crate::frame::Frame;
+use crate::parallel::parallel_map_indexed;
 use crate::Result;
 
 /// Identity of an encoded video inside the cache key space.
@@ -353,12 +354,73 @@ impl GopCache {
     /// report. In-flight (`Pending`) decodes count as absent — a planner
     /// must not skip a key another thread may still fail to produce.
     pub fn contains(&self, video_id: VideoId, keyframe: usize) -> bool {
+        self.capacity != 0 && self.touched_at(video_id, keyframe).is_some()
+    }
+
+    /// Prewarms the GOPs a batch of sessions is about to serve. Decodes
+    /// the `keys` of `video_id` that are not resident, once each, with
+    /// `decode` over `workers` pool threads. Then it touches the keys
+    /// that were resident, least recently used first, and inserts the
+    /// decoded GOPs in `keys` order. Returns the number of frames
+    /// decoded.
+    ///
+    /// The touch makes the inserts evict GOPs the batch does not need
+    /// before any that it does, so a GOP resident when the batch began
+    /// is not decoded again when it is served, as long as the batch
+    /// fits in the cache. Touching in recency order keeps the resident
+    /// keys' own order, which decides what a batch larger than the
+    /// cache evicts. Inserting in `keys` order makes the eviction
+    /// sequence, and so every later decode, independent of thread
+    /// timing.
+    ///
+    /// With caching disabled it does nothing: sessions decode for
+    /// themselves. A failed decode counts as a miss, as it does in
+    /// [`GopCache::get_or_decode`], and is left to the sessions' own
+    /// serve path. A touch counts as neither a hit nor a miss.
+    pub fn prewarm<F>(&self, video_id: VideoId, keys: &[usize], workers: usize, decode: F) -> usize
+    where
+        F: Fn(usize) -> Result<Vec<Frame>> + Sync,
+    {
         if self.capacity == 0 {
-            return false;
+            return 0;
         }
+        let (mut resident, mut missing) = (Vec::new(), Vec::new());
+        for &keyframe in keys {
+            match self.touched_at(video_id, keyframe) {
+                Some(tick) => resident.push((tick, keyframe)),
+                None => missing.push(keyframe),
+            }
+        }
+        let decoded = parallel_map_indexed(missing.len(), workers, |j| decode(missing[j]));
+        resident.sort_unstable();
+        for (_, keyframe) in resident {
+            self.touch(video_id, keyframe);
+        }
+        let mut frames = 0;
+        for (keyframe, outcome) in missing.into_iter().zip(decoded) {
+            frames += outcome.as_ref().map_or(0, |f| f.len());
+            let _ = self.get_or_decode(video_id, keyframe, || outcome);
+        }
+        frames
+    }
+
+    /// The tick the GOP at `keyframe` of `video_id` was last used at,
+    /// if it is resident.
+    fn touched_at(&self, video_id: VideoId, keyframe: usize) -> Option<u64> {
         let key = GopKey { video: video_id, keyframe };
-        let shard = &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize];
-        matches!(shard.lock().entries.get(&key), Some(Slot::Ready { .. }))
+        match self.shard(key).lock().entries.get(&key) {
+            Some(Slot::Ready { touched, .. }) => Some(*touched),
+            _ => None,
+        }
+    }
+
+    /// Marks the resident GOP at `keyframe` of `video_id` most recently
+    /// used, counting neither a hit nor a miss.
+    fn touch(&self, video_id: VideoId, keyframe: usize) {
+        let key = GopKey { video: video_id, keyframe };
+        if let Some(Slot::Ready { touched, .. }) = self.shard(key).lock().entries.get_mut(&key) {
+            *touched = self.clock.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Looks up the GOP at `keyframe` of `video_id`, decoding it with
@@ -389,7 +451,7 @@ impl GopCache {
             return decode().map(Arc::new);
         }
         let key = GopKey { video: video_id, keyframe };
-        let shard = &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize];
+        let shard = self.shard(key);
         // Fast path under the shard lock: hit, or join an in-flight
         // decode, or claim leadership of a new one.
         let waiter = {
@@ -431,6 +493,11 @@ impl GopCache {
                 Err(e)
             }
         }
+    }
+
+    /// The shard `key` lives in.
+    fn shard(&self, key: GopKey) -> &Mutex<Shard> {
+        &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize]
     }
 
     /// Leader path: decode outside the lock, publish, wake followers.
@@ -583,6 +650,94 @@ mod tests {
         let after = cache.stats();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses + 1);
+    }
+
+    #[test]
+    fn prewarm_keeps_a_resident_plan_key_its_inserts_would_evict() {
+        let ev = encoded(2, 12); // keyframes 0,2,4,6,8,10
+        let id = VideoId::of(&ev);
+        let cache = GopCache::with_shards(2, 1);
+        let dec = Decoder::default();
+        // GOP 0 resident and least recently used, GOP 2 newer.
+        for k in [0, 2] {
+            cache.get_or_decode(id, k, || dec.decode_gop_at(&ev, k)).unwrap();
+        }
+        let decodes = AtomicUsize::new(0);
+        let decode = |k: usize| {
+            decodes.fetch_add(1, Ordering::Relaxed);
+            dec.decode_gop_at(&ev, k)
+        };
+        // A batch needs GOPs 0 and 4: 4 is decoded, and its insert
+        // evicts 2, which the batch does not need, rather than 0.
+        assert_eq!(cache.prewarm(id, &[0, 4], 2, decode), 2);
+        assert_eq!(decodes.load(Ordering::Relaxed), 1);
+        assert!(cache.contains(id, 0) && cache.contains(id, 4) && !cache.contains(id, 2));
+        // So serving the batch decodes nothing again.
+        let before = cache.stats();
+        for k in [0, 4] {
+            cache.get_or_decode(id, k, || panic!("GOP {k} decoded again at serve")).unwrap();
+        }
+        let after = cache.stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 2, before.misses));
+        // The touch counted neither a hit nor a miss; the insert a miss.
+        assert_eq!((before.hits, before.misses, before.evictions), (0, 3, 1));
+    }
+
+    #[test]
+    fn prewarm_touches_resident_keys_in_recency_order() {
+        let ev = encoded(2, 12);
+        let id = VideoId::of(&ev);
+        let cache = GopCache::with_shards(2, 1);
+        let dec = Decoder::default();
+        // GOP 2 resident and least recently used, GOP 0 newer.
+        for k in [2, 0] {
+            cache.get_or_decode(id, k, || dec.decode_gop_at(&ev, k)).unwrap();
+        }
+        // A batch of three does not fit: its insert of GOP 4 evicts the
+        // batch's least recently used GOP, 2, as it would have without
+        // the batch.
+        cache.prewarm(id, &[0, 2, 4], 1, |k| dec.decode_gop_at(&ev, k));
+        assert!(cache.contains(id, 0) && cache.contains(id, 4) && !cache.contains(id, 2));
+    }
+
+    #[test]
+    fn prewarm_inserts_in_key_order_whatever_the_workers() {
+        let ev = encoded(2, 24);
+        let id = VideoId::of(&ev);
+        let dec = Decoder::default();
+        let keys: Vec<usize> = ev.keyframes();
+        let run = |workers: usize| {
+            // Three of twelve GOPs fit: which stay depends only on the
+            // insert order.
+            let cache = GopCache::with_shards(3, 1);
+            let frames = cache.prewarm(id, &keys, workers, |k| dec.decode_gop_at(&ev, k));
+            let resident: Vec<usize> =
+                keys.iter().copied().filter(|&k| cache.contains(id, k)).collect();
+            (frames, resident, cache.stats())
+        };
+        let one = run(1);
+        assert_eq!(one.1, keys[keys.len() - 3..]);
+        for workers in 2..=4 {
+            assert_eq!(run(workers), one, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn prewarm_leaves_failures_and_disabled_caches_to_the_serve() {
+        let ev = encoded(2, 6);
+        let id = VideoId::of(&ev);
+        let dec = Decoder::default();
+        let cache = GopCache::new(0);
+        assert_eq!(cache.prewarm(id, &[0, 2], 2, |_| panic!("nothing to prewarm")), 0);
+        assert_eq!(cache.stats(), GopCache::new(0).stats());
+        let cache = GopCache::new(4);
+        let decode = |k: usize| match k {
+            2 => Err(MediaError::CorruptGop { keyframe: 2 }),
+            _ => dec.decode_gop_at(&ev, k),
+        };
+        assert_eq!(cache.prewarm(id, &[0, 2], 2, decode), 2);
+        assert!(cache.contains(id, 0) && !cache.contains(id, 2));
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

@@ -127,51 +127,105 @@ fn zigzag(v: i64) -> u64 {
     }
 }
 
-/// Bits [`BitReader::get_token`] looks up at once: 99.9 % of the
-/// residual tokens on noisy footage fit in them.
+/// Bits a residual token lookup reads at once: 99.9 % of the residual
+/// tokens on noisy footage fit in them.
 const TOKEN_BITS: u32 = 12;
 
-/// `len` of a [`TOKENS`] entry that holds no whole token. It exceeds any
-/// number of cached bits, so the one length check rejects it.
-const NO_TOKEN: u8 = u8::MAX;
+/// The most samples one [`PAIRS`] lookup covers: a run of 62 and its
+/// level, `ue(62)` (11 bits) then `se(0)` (1 bit). Two tokens in 12 bits
+/// cover at most 18.
+const MAX_LOOKUP_SAMPLES: usize = 63;
 
-/// One residual token, `ue(run)` then `se(level)`, decoded from the
-/// [`TOKEN_BITS`] bits that start it; `len` is its length in bits.
+/// Lookups [`BitReader::get_token_pairs`] makes per refill. One 8-byte
+/// refill leaves at least 56 bits cached, and four lookups use at most
+/// 48 of them.
+const LOOKUPS_PER_REFILL: usize = 4;
+
+/// The residual tokens, `ue(run)` then `se(level)`, that start one
+/// [`TOKEN_BITS`]-bit pattern: the first whole token and, when the bits
+/// after it hold a second whole token, that one too. Packed in a `u32`:
+///
+/// | bits | field |
+/// |---|---|
+/// | 0–3 | total length in bits |
+/// | 4–7 | first token's length |
+/// | 8–13 | first token's `run + 1` |
+/// | 14–19 | first token's level, two's complement |
+/// | 20–25 | second token's `run + 1`, 0 when there is none |
+/// | 26–31 | second token's level |
+///
+/// `run + 1` is the samples a token covers, and needs 6 bits: runs reach
+/// 62 inside 12 bits. Levels stay within ±31, whose `se` code is 11
+/// bits. A pattern with no whole token is all zeros.
 #[derive(Debug, Clone, Copy)]
-struct Token {
-    run: u8,
-    level: i8,
-    len: u8,
+struct Pair(u32);
+
+impl Pair {
+    /// Bits both tokens take.
+    #[inline]
+    fn len(self) -> u32 {
+        self.0 & 0xF
+    }
+
+    /// Bits the first token takes; 0 when the pattern holds none.
+    #[inline]
+    fn first_len(self) -> u32 {
+        (self.0 >> 4) & 0xF
+    }
+
+    /// The first token's `run + 1` (0 when there is none) and level.
+    #[inline]
+    fn first(self) -> (usize, i64) {
+        (((self.0 >> 8) & 0x3F) as usize, i64::from(((self.0 << 12) as i32) >> 26))
+    }
+
+    /// The second token's `run + 1` (0 when there is none) and level.
+    #[inline]
+    fn second(self) -> (usize, i64) {
+        (((self.0 >> 20) & 0x3F) as usize, i64::from((self.0 as i32) >> 26))
+    }
 }
 
-/// The token that starts each [`TOKEN_BITS`]-bit pattern, or a
-/// [`NO_TOKEN`] entry when the pattern holds no whole token.
-static TOKENS: [Token; 1 << TOKEN_BITS] = token_table();
+/// The [`Pair`] each [`TOKEN_BITS`]-bit pattern starts: 4 096 entries,
+/// 16 KB.
+static PAIRS: [Pair; 1 << TOKEN_BITS] = pair_table();
 
-const fn token_table() -> [Token; 1 << TOKEN_BITS] {
-    let mut table = [Token { run: 0, level: 0, len: NO_TOKEN }; 1 << TOKEN_BITS];
+/// The token at the top of `word`, of which only the top `avail` bits
+/// are stream bits (the rest are zero): `(run, level, len)`, or `None`
+/// when those bits hold no whole token.
+const fn token_at(word: u32, avail: u32) -> Option<(u32, i32, u32)> {
+    // A code is its zero prefix, a one and as many bits again (`v + 1`
+    // in binary), so `leading_zeros` gives its length.
+    let ue_len = 2 * word.leading_zeros() + 1;
+    if ue_len >= avail {
+        return None;
+    }
+    let rest = word << ue_len;
+    let se_len = 2 * rest.leading_zeros() + 1;
+    if ue_len + se_len > avail {
+        return None;
+    }
+    let run = (word >> (32 - ue_len)) - 1;
+    let mapped = (rest >> (32 - se_len)) - 1;
+    // The inverse of `zigzag`: 0, 1, 2, 3, 4, … → 0, 1, −1, 2, −2, …
+    let level = if mapped & 1 == 0 { -((mapped >> 1) as i32) } else { ((mapped >> 1) + 1) as i32 };
+    Some((run, level, ue_len + se_len))
+}
+
+const fn pair_table() -> [Pair; 1 << TOKEN_BITS] {
+    let mut table = [Pair(0); 1 << TOKEN_BITS];
     let mut bits = 0;
     while bits < table.len() {
-        // The pattern left-aligned in a word, so `leading_zeros` counts
-        // a code's zero prefix; a code is that prefix, a one and as many
-        // bits again (`v + 1` in binary).
+        // The pattern left-aligned in a word.
         let word = (bits as u32) << (32 - TOKEN_BITS);
-        let ue_len = 2 * word.leading_zeros() + 1;
-        if ue_len < TOKEN_BITS {
-            let rest = word << ue_len;
-            let se_len = 2 * rest.leading_zeros() + 1;
-            if ue_len + se_len <= TOKEN_BITS {
-                let run = (word >> (32 - ue_len)) - 1;
-                let mapped = (rest >> (32 - se_len)) - 1;
-                // The inverse of `zigzag`: 0, 1, 2, 3, 4, … → 0, 1, −1, 2, −2, …
-                let level = if mapped & 1 == 0 {
-                    -((mapped >> 1) as i32)
-                } else {
-                    ((mapped >> 1) + 1) as i32
-                };
-                let len = (ue_len + se_len) as u8;
-                table[bits] = Token { run: run as u8, level: level as i8, len };
+        if let Some((run, level, len)) = token_at(word, TOKEN_BITS) {
+            let mut entry = len << 4 | (run + 1) << 8 | (level as u32 & 0x3F) << 14;
+            let mut total = len;
+            if let Some((run2, level2, len2)) = token_at(word << len, TOKEN_BITS - len) {
+                entry |= (run2 + 1) << 20 | (level2 as u32 & 0x3F) << 26;
+                total += len2;
             }
+            table[bits] = Pair(entry | total);
         }
         bits += 1;
     }
@@ -209,28 +263,39 @@ impl<'a> BitReader<'a> {
     /// in one at a time.
     #[inline]
     fn refill(&mut self) {
-        let mut next = (self.pos + self.cached as usize) / 8;
-        if next + 8 <= self.bytes.len() {
-            let w =
-                u64::from_be_bytes(self.bytes[next..next + 8].try_into().expect("8-byte window"));
-            if self.cached == 0 {
-                self.cache = w;
-                self.cached = 64;
-            } else {
-                // `cached | 56` adds the most whole bytes that fit
-                // (0–7 of the 8 loaded); the mask clears the partial
-                // byte the shift smeared below them.
-                let new = self.cached | 56;
-                self.cache = (self.cache | (w >> self.cached)) & !(u64::MAX >> new);
-                self.cached = new;
-            }
+        if self.refill_word() {
             return;
         }
+        let mut next = (self.pos + self.cached as usize) / 8;
         while self.cached <= 56 && next < self.bytes.len() {
             self.cache |= u64::from(self.bytes[next]) << (56 - self.cached);
             self.cached += 8;
             next += 1;
         }
+    }
+
+    /// Tops up the cache with one unaligned 8-byte load, when eight
+    /// bytes lie ahead of it, and returns whether they did. A `true`
+    /// leaves at least 56 bits cached.
+    #[inline]
+    fn refill_word(&mut self) -> bool {
+        let next = (self.pos + self.cached as usize) / 8;
+        let Some(window) = self.bytes.get(next..next + 8) else {
+            return false;
+        };
+        let w = u64::from_be_bytes(window.try_into().expect("8-byte window"));
+        if self.cached == 0 {
+            self.cache = w;
+            self.cached = 64;
+        } else if self.cached < 56 {
+            // `cached | 56` adds the most whole bytes that fit (1–7 of
+            // the 8 loaded); the mask clears the partial byte the shift
+            // smeared below them.
+            let new = self.cached | 56;
+            self.cache = (self.cache | (w >> self.cached)) & !(u64::MAX >> new);
+            self.cached = new;
+        }
+        true
     }
 
     /// Drops the top `n` bits of the cache (`n` ≤ `cached`).
@@ -337,12 +402,53 @@ impl<'a> BitReader<'a> {
         if self.cached < TOKEN_BITS {
             self.refill();
         }
-        let token = TOKENS[(self.cache >> (64 - TOKEN_BITS)) as usize];
-        if u32::from(token.len) > self.cached || usize::from(token.run) >= left {
+        let pair = PAIRS[(self.cache >> (64 - TOKEN_BITS)) as usize];
+        let (covers, level) = pair.first();
+        if covers == 0 || covers > left || pair.first_len() > self.cached {
             return None;
         }
-        self.consume(u32::from(token.len));
-        Some((usize::from(token.run), i64::from(token.level)))
+        self.consume(pair.first_len());
+        Some((covers - 1, level))
+    }
+
+    /// Reads the residual tokens of a plane with `left` samples still to
+    /// code, [`LOOKUPS_PER_REFILL`] lookups per refill, while more than
+    /// `LOOKUPS_PER_REFILL × MAX_LOOKUP_SAMPLES` samples and eight bytes
+    /// lie ahead, and hands each `(run, level)` to `token`. Returns the
+    /// samples still to code. It stops early at a pattern that holds no
+    /// whole token, for [`get_token`](Self::get_token) and the codes.
+    ///
+    /// The guard is what makes it need no other check. A refill leaves
+    /// at least 56 bits, and four lookups take at most 48. A lookup
+    /// covers at most [`MAX_LOOKUP_SAMPLES`], so every run it reads
+    /// leaves its level a sample of the plane, and it never reads the
+    /// plane's trailing run: that run is over 63, and its code is longer
+    /// than [`TOKEN_BITS`]. Every level in the table is within ±31. So
+    /// the tokens read here are the ones `get_ue`/`get_se` would read,
+    /// and none of them is an error.
+    #[inline]
+    pub(crate) fn get_token_pairs(
+        &mut self,
+        mut left: usize,
+        mut token: impl FnMut(usize, i64),
+    ) -> usize {
+        while left > LOOKUPS_PER_REFILL * MAX_LOOKUP_SAMPLES && self.refill_word() {
+            for _ in 0..LOOKUPS_PER_REFILL {
+                let pair = PAIRS[(self.cache >> (64 - TOKEN_BITS)) as usize];
+                let (covers, level) = pair.first();
+                if covers == 0 {
+                    return left;
+                }
+                token(covers - 1, level);
+                let (covers2, level2) = pair.second();
+                if covers2 != 0 {
+                    token(covers2 - 1, level2);
+                }
+                self.consume(pair.len());
+                left -= covers + covers2;
+            }
+        }
+        left
     }
 
     /// Bits left between the cursor and the end of the byte slice.
@@ -469,31 +575,51 @@ mod tests {
         }
     }
 
+    /// The whole tokens the codes read inside the first [`TOKEN_BITS`]
+    /// bits of `bytes`, at most two, as `(run + 1, level)`; and the bits
+    /// those tokens take.
+    fn tokens_in_window(bytes: &[u8]) -> (Vec<(usize, i64)>, u32) {
+        let mut r = BitReader::new(bytes);
+        let (mut tokens, mut end) = (Vec::new(), 0);
+        while tokens.len() < 2 {
+            let (Ok(run), Ok(level)) = (r.get_ue(), r.get_se()) else { break };
+            if r.bit_pos() > TOKEN_BITS as usize {
+                break;
+            }
+            tokens.push((run as usize + 1, level));
+            end = r.bit_pos() as u32;
+        }
+        (tokens, end)
+    }
+
     #[test]
     fn token_table_matches_ue_se() {
         // Every 12-bit pattern, followed by bits that end, extend or
         // alternate the codes it starts.
         for pattern in 0u64..1 << TOKEN_BITS {
+            let pair = PAIRS[pattern as usize];
+            let table: Vec<(usize, i64)> =
+                [pair.first(), pair.second()].into_iter().take_while(|t| t.0 != 0).collect();
             for tail in [0x0000, 0xFFFF, 0x5A5A] {
                 let mut w = BitWriter::new();
                 w.put_bits(pattern, TOKEN_BITS as u8);
                 w.put_bits(tail, 16);
                 let bytes = w.finish();
-                let mut codes = BitReader::new(&bytes);
-                let pair = codes.get_ue().and_then(|run| Ok((run, codes.get_se()?)));
-                let mut table = BitReader::new(&bytes);
-                match table.get_token(usize::MAX) {
-                    Some((run, level)) => {
-                        assert_eq!(pair.unwrap(), (run as u64, level), "{pattern:012b}");
-                        assert_eq!(table.bit_pos(), codes.bit_pos(), "{pattern:012b}");
-                    }
-                    None => assert!(
-                        pair.is_err() || codes.bit_pos() > TOKEN_BITS as usize,
-                        "{pattern:012b} holds a token the table missed"
-                    ),
-                }
+                let (codes, end) = tokens_in_window(&bytes);
+                assert_eq!(table, codes, "{pattern:012b}");
+                assert_eq!(pair.len(), end, "{pattern:012b}");
+                // The tail path reads the first token alone.
+                let mut r = BitReader::new(&bytes);
+                let first = r.get_token(usize::MAX);
+                assert_eq!(first, codes.first().map(|&(covers, level)| (covers - 1, level)));
+                assert_eq!(r.bit_pos() as u32, pair.first_len(), "{pattern:012b}");
             }
         }
+        // A lookup covers up to `MAX_LOOKUP_SAMPLES` (a run of 62 fills
+        // the 6-bit field), and levels reach ±31.
+        let covers = PAIRS.iter().map(|p| p.first().0 + p.second().0).max();
+        assert_eq!(covers, Some(MAX_LOOKUP_SAMPLES));
+        assert_eq!(PAIRS.iter().map(|p| p.first().1.abs()).max(), Some(31));
     }
 
     #[test]

@@ -361,13 +361,17 @@ const MAX_LEVEL: i64 = 255;
 /// `level(run, value)` as it is read, with the zero run before it, so
 /// decoders reconstruct straight from the stream. The samples after the
 /// last level are the plane's trailing zero run.
+///
+/// Most of a plane goes through [`BitReader::get_token_pairs`], one or
+/// two tokens a lookup. The checked loop below finishes the plane, so
+/// every error is the one the `get_ue`/`get_se` codes return.
 #[inline]
 fn read_residuals(
     r: &mut BitReader<'_>,
     n: usize,
     mut level: impl FnMut(usize, i64),
 ) -> Result<()> {
-    let mut left = n;
+    let mut left = r.get_token_pairs(n, &mut level);
     while left > 0 {
         let (run, value) = match r.get_token(left) {
             Some(token) => token,
@@ -1373,6 +1377,140 @@ mod tests {
         let ev = Encoder::default().encode(&frames, FrameRate::FPS30).unwrap();
         assert!(ev.compression_ratio() > 1.0, "ratio {}", ev.compression_ratio());
         assert_eq!(ev.raw_bytes(), 48 * 32 * 3 * 6);
+    }
+}
+
+#[cfg(test)]
+mod token_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Every `(run, level)` [`read_residuals`] hands its closure over
+    /// `n` samples, how it ended, and the bit it ended at.
+    fn table_tokens(bytes: &[u8], n: usize) -> (Vec<(usize, i64)>, Result<()>, usize) {
+        let mut r = BitReader::new(bytes);
+        let mut tokens = Vec::new();
+        let end = read_residuals(&mut r, n, |run, level| tokens.push((run, level)));
+        (tokens, end, r.bit_pos())
+    }
+
+    /// The same from a plain `get_ue`/`get_se` loop, with no table.
+    fn plain_tokens(bytes: &[u8], n: usize) -> (Vec<(usize, i64)>, Result<()>, usize) {
+        let mut r = BitReader::new(bytes);
+        let mut tokens = Vec::new();
+        let mut left = n;
+        let mut read = || -> Result<()> {
+            while left > 0 {
+                let run = r.get_ue()? as usize;
+                if run > left {
+                    return Err(MediaError::CorruptBitstream(format!(
+                        "zero run {run} exceeds remaining {left} samples"
+                    )));
+                }
+                if run == left {
+                    break;
+                }
+                let level = r.get_se()?;
+                if !(-MAX_LEVEL..=MAX_LEVEL).contains(&level) {
+                    return Err(MediaError::CorruptBitstream(format!(
+                        "residual level {level} outside ±{MAX_LEVEL}"
+                    )));
+                }
+                tokens.push((run, level));
+                left -= run + 1;
+            }
+            Ok(())
+        };
+        let end = read();
+        (tokens, end, r.bit_pos())
+    }
+
+    /// Plane lengths around the four-lookup guard (`4 × 63 = 252`), and
+    /// a 128×96 plane.
+    const PLANE_LENGTHS: [usize; 6] = [1, 252, 253, 256, 257, 12_288];
+
+    /// A stream for the token tests. `kind` 0 is random bytes; 1 is a
+    /// plane of `n` residuals as the encoder writes them, dense and
+    /// small like noisy footage's; 2 is one with runs up to 70 and
+    /// mostly unit levels, so many tokens fill a lookup alone, and a few
+    /// levels up to ±255. Planes are followed by random bytes, as by the
+    /// next plane, and any stream can lose its last `cut` bytes.
+    fn token_stream(seed: u64, n: usize, kind: u8, cut: usize) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bytes = if kind == 0 {
+            let len = rng.gen_range(0..16 + n / 3usize);
+            (0..len).map(|_| rng.gen()).collect()
+        } else {
+            let mut residuals = vec![0i64; n];
+            let mut i = if kind == 1 { 0 } else { rng.gen_range(0..=70usize) };
+            while i < n {
+                residuals[i] = match (kind, rng.gen_range(0..20)) {
+                    (1, _) => rng.gen_range(-3..=3),
+                    (_, 0) => rng.gen_range(-255..=255),
+                    (_, 1..=4) => rng.gen_range(-40..=40),
+                    _ => [-1, 1][rng.gen_range(0..2usize)],
+                };
+                i += 1 + if kind == 1 { rng.gen_range(0..2usize) } else { rng.gen_range(0..=70usize) };
+            }
+            let mut w = BitWriter::new();
+            write_residuals(&mut w, &residuals);
+            let mut bytes = w.finish();
+            bytes.extend((0..rng.gen_range(0..16usize)).map(|_| rng.gen::<u8>()));
+            bytes
+        };
+        bytes.truncate(bytes.len().saturating_sub(cut));
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // The pair table and the four-lookup loop read what the codes
+        // read: the same tokens in the same order, the same error, and
+        // the same end bit, on random bits and on encoder planes, whole
+        // or cut short inside the last refill's eight bytes.
+        #[test]
+        fn residual_tokens_match_the_plain_codes(
+            seed in any::<u64>(),
+            plane in any::<prop::sample::Index>(),
+            kind in 0u8..3,
+            cut in prop_oneof![Just(0usize), 1usize..24],
+        ) {
+            let n = PLANE_LENGTHS[plane.index(PLANE_LENGTHS.len())];
+            let bytes = token_stream(seed, n, kind, cut);
+            let table = table_tokens(&bytes, n);
+            // A whole encoder plane reads back.
+            prop_assert!(kind == 0 || cut > 0 || table.1.is_ok(), "{:?}", table.1);
+            prop_assert_eq!(table, plain_tokens(&bytes, n));
+        }
+    }
+
+    #[test]
+    fn four_lookup_loop_leaves_the_trailing_run_to_the_codes() {
+        // A 274-sample plane: seven tokens that fill a lookup each (a run
+        // of 30 and a level of 1, 9 + 3 bits), then a trailing run of 57
+        // followed by a one bit, the next plane's `ue(0)`. The loop
+        // stops after four lookups: 150 samples left is not more than
+        // 252. An encoder's token covers at most 31 samples a lookup, so
+        // a guard of 4 × 31 would go on, and its fourth lookup would read
+        // the trailing run and that one bit as a token (57, 0).
+        let mut residuals = Vec::new();
+        for _ in 0..7 {
+            residuals.extend(std::iter::repeat_n(0i64, 30));
+            residuals.push(1);
+        }
+        residuals.extend(std::iter::repeat_n(0, 57));
+        assert_eq!(residuals.len(), 274);
+        let mut w = BitWriter::new();
+        write_residuals(&mut w, &residuals);
+        write_residuals(&mut w, &[1; 16]);
+        let bytes = w.finish();
+        let (tokens, end, bit) = table_tokens(&bytes, residuals.len());
+        assert!(end.is_ok());
+        assert_eq!(tokens, vec![(30, 1); 7]);
+        assert_eq!((tokens, end, bit), plain_tokens(&bytes, residuals.len()));
     }
 }
 

@@ -26,7 +26,6 @@ use rand::{Rng, SeedableRng};
 use vgbl_obs::{Obs, Series, SeriesSpec, SpanRecorder};
 use vgbl_media::cache::{GopCache, VideoId};
 use vgbl_media::codec::{Decoder, EncodedVideo};
-use vgbl_media::parallel::parallel_map_indexed;
 use vgbl_media::{SegmentId, SegmentTable};
 use vgbl_scene::SceneGraph;
 
@@ -466,30 +465,15 @@ pub fn run_playback_cohort(
 
     // Batch resolution: decode the tick's missing GOPs exactly once,
     // fanned over the work-stealing pool, driven by the executor's
-    // coalesced fetch plan. With caching disabled there is no residency
+    // coalesced fetch plan (`GopCache::prewarm`). Failures are left for
+    // the sessions' own serve path, which conceals (or fails) with the
+    // unbatched semantics. With caching disabled there is no residency
     // to share: sessions decode for themselves, as they would played
     // alone.
     let mut prewarm_frames = 0usize;
     let run = run_tasks(tasks, RUN_QUEUE_SEED, |plan| {
-        if cache.capacity_gops() == 0 {
-            return;
-        }
-        let missing: Vec<usize> =
-            plan.keys.iter().copied().filter(|&k| !cache.contains(video_id, k)).collect();
-        if missing.is_empty() {
-            return;
-        }
-        let decoded: Vec<usize> = parallel_map_indexed(missing.len(), workers, |j| {
-            let k = missing[j];
-            // Failures are left for the sessions' own serve path,
-            // which conceals (or fails) with the unbatched
-            // semantics.
-            cache
-                .get_or_decode(video_id, k, || decoder.decode_gop_at(&video, k))
-                .map(|frames| frames.len())
-                .unwrap_or(0)
-        });
-        let frames: usize = decoded.iter().sum();
+        let frames =
+            cache.prewarm(video_id, &plan.keys, workers, |k| decoder.decode_gop_at(&video, k));
         prewarm_frames += frames;
         decoded_ctr.add(frames as u64);
     });
@@ -623,6 +607,32 @@ mod tests {
         assert_eq!(a.switches, c.switches);
         // Only the decode cost varies: a tiny cache decodes more.
         assert!(c.frames_decoded >= a.frames_decoded);
+    }
+
+    #[test]
+    fn playback_cohort_under_eviction_is_the_same_whatever_the_workers() {
+        // Two of the six GOPs fit, so most ticks' prewarms evict. Their
+        // inserts go in key order, so which GOPs stay, and so every later
+        // decode, hit and eviction, does not depend on thread timing.
+        let (video, table) = cohort_video();
+        let run = |workers: usize| {
+            let cache = Arc::new(GopCache::new(2));
+            let (report, stats) = run_playback_cohort(
+                video.clone(),
+                &table,
+                cache.clone(),
+                24,
+                workers,
+                30,
+                &Obs::noop(),
+            );
+            (format!("{report:?}"), cache.stats(), stats)
+        };
+        let one = run(1);
+        assert!(one.1.evictions > 0, "{:?}", one.1);
+        for workers in 2..=4 {
+            assert_eq!(run(workers), one, "{workers} workers");
+        }
     }
 
     #[test]

@@ -7,20 +7,35 @@
 //! the supervisor, fleet, chaos or cohort paths must leave them
 //! unchanged. A mismatch prints every digest so the failing driver is
 //! named.
+//!
+//! The `transcripts` case pins what learners are shown rather than what
+//! a report counts: one digest per session over every frame served and
+//! every `Feedback`, in step order. Its playback walks are the reference
+//! walks `executor_equivalence.rs` replays, played at cache capacities 0,
+//! 1 and one that holds every GOP (a cache changes who decodes, never a
+//! frame). Its game sessions are `vgbl::Player` walks of the fixture
+//! games, whose frames are composed. It was recorded before the decoder
+//! and the cohort prewarm changed.
+
+mod walks;
 
 use std::panic;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vgbl::author::wizard::{escape_template, tour_template};
+use vgbl::player::Player;
+use vgbl::publish::{publish, PublishedGame};
+use vgbl::sample::fix_the_computer_project;
 use vgbl_media::cache::GopCache;
 use vgbl_media::codec::{EncodeConfig, EncodedVideo, Encoder};
 use vgbl_media::color::Rgb;
-use vgbl_media::synth::{FootageSpec, ShotSpec};
+use vgbl_media::synth::{FootageSpec, ShotSpec, SpriteShape, SpriteSpec};
 use vgbl_media::timeline::FrameRate;
 use vgbl_media::SegmentTable;
-use vgbl_obs::hash::fnv1a;
-use vgbl_obs::{export_journeys, Obs};
+use vgbl_obs::hash::{fnv1a, fnv1a_extend};
+use vgbl_obs::{export_journeys, Obs, SpanRecorder};
 use vgbl_runtime::bot::{Bot, GuidedBot, RandomBot};
 use vgbl_runtime::engine::{GameSession, SessionConfig};
 use vgbl_runtime::fixtures::{fix_the_computer, FRAME};
@@ -32,6 +47,7 @@ use vgbl_runtime::{
 };
 use vgbl_store::{DiskFaultPlan, StoreConfig};
 use vgbl_stream::FaultPlan;
+use walks::{empty_transcript, moving_clip, play_one_session};
 
 fn fnv(text: &str) -> u64 {
     fnv1a(text.as_bytes())
@@ -267,6 +283,105 @@ fn cohorts() -> Vec<u64> {
     vec![fnv(&format!("{bots:?}")), fnv(&format!("{playback:?}"))]
 }
 
+/// Inputs per `Player` walk.
+const PLAYER_STEPS: usize = 40;
+
+/// A template project with footage: one 64×48 shot per segment, each
+/// with a moving sprite and noise, so every GOP decodes real residuals.
+fn template_game(mut project: vgbl::author::Project, seed: u64) -> PublishedGame {
+    let (w, h) = project.frame_size;
+    let shots = project
+        .segments
+        .segments()
+        .iter()
+        .enumerate()
+        .map(|(k, seg)| ShotSpec {
+            frames: seg.len(),
+            background: Rgb::new(40 + 50 * (k as u8 % 4), 200 - 40 * (k as u8 % 5), 90),
+            sprites: vec![SpriteSpec {
+                shape: SpriteShape::Rect(10, 8),
+                color: Rgb::new(230, 220, 30),
+                pos: (6.0 + 4.0 * k as f32, 10.0),
+                vel: (1.5, 0.5),
+            }],
+            luma_drift: 0,
+            noise: 2,
+        })
+        .collect();
+    let footage =
+        FootageSpec { width: w, height: h, rate: FrameRate::FPS30, shots, noise_seed: seed }
+            .render()
+            .unwrap();
+    let config = EncodeConfig { gop: 6, search_range: 3, ..EncodeConfig::default() };
+    project.video = Some(Encoder::new(config).encode(&footage.frames, footage.rate).unwrap());
+    publish(project).unwrap()
+}
+
+/// One `Player` walk's transcript: the opening feedback, then every
+/// composed frame, every input and the feedback (or error) it and the
+/// tick after it produced.
+fn player_transcript(game: &PublishedGame, bot: &mut dyn Bot) -> u64 {
+    let mut player = Player::new(game).unwrap();
+    let text = |h: u64, t: String| fnv1a_extend(h, t.as_bytes());
+    let mut h = text(empty_transcript(), format!("{:?}", player.last_feedback()));
+    for step in 0..=PLAYER_STEPS {
+        h = fnv1a_extend(h, player.frame().unwrap().raw());
+        if step == PLAYER_STEPS || player.session().state().is_over() {
+            break;
+        }
+        let Some(input) = bot.next_input(player.session()).unwrap() else {
+            break;
+        };
+        h = text(h, format!("{input:?}"));
+        for input in [input, InputEvent::Tick(100)] {
+            h = match player.handle(input) {
+                Ok(feedback) => text(h, format!("{feedback:?}")),
+                Err(e) => text(h, format!("error: {e}")),
+            };
+            if player.session().state().is_over() {
+                break;
+            }
+        }
+    }
+    h
+}
+
+fn transcripts() -> Vec<u64> {
+    let (video, table) = moving_clip(14);
+    let n_segments = table.len() as u32;
+    let every_gop = video.keyframes().len();
+    let mut digests = Vec::new();
+    for capacity in [0, 1, every_gop] {
+        let cache = Arc::new(GopCache::new(capacity));
+        let mut h = fnv1a(b"playback");
+        for i in 0..9 {
+            let (video, table, cache) = (video.clone(), table.clone(), cache.clone());
+            let mut rec = SpanRecorder::disabled();
+            let (_, t) =
+                play_one_session(video, table, cache, i, n_segments, 25, &Obs::noop(), &mut rec)
+                    .unwrap();
+            h = fnv1a_extend(h, &t.to_le_bytes());
+        }
+        digests.push(h);
+    }
+    let games = [
+        publish(fix_the_computer_project(1).unwrap().0).unwrap(),
+        template_game(tour_template("tour", 3), 5),
+        template_game(escape_template("escape", 3), 6),
+    ];
+    for game in &games {
+        let mut h = fnv1a(b"player");
+        let mut guided = GuidedBot::new();
+        h = fnv1a_extend(h, &player_transcript(game, &mut guided).to_le_bytes());
+        for seed in 0..3 {
+            let mut bot = RandomBot::new(StdRng::seed_from_u64(seed));
+            h = fnv1a_extend(h, &player_transcript(game, &mut bot).to_le_bytes());
+        }
+        digests.push(h);
+    }
+    digests
+}
+
 #[test]
 fn session_drivers_are_byte_identical_to_their_pins() {
     let got = [
@@ -275,13 +390,25 @@ fn session_drivers_are_byte_identical_to_their_pins() {
         ("fleet_synthetic", fleet_synthetic()),
         ("chaos", chaos()),
         ("cohorts", cohorts()),
+        ("transcripts", transcripts()),
     ];
-    let pinned: [(&str, &[u64]); 5] = [
+    let pinned: [(&str, &[u64]); 6] = [
         ("supervised", &[0x1de5_282c_78a4_51f3, 0xe31d_521b_050b_ff2c, 0x4114_a587_7795_9dc2]),
         ("fleet_engine", &[0xf9ee_87c7_86ab_9685, 0x669f_1ae7_c6d6_6eab]),
         ("fleet_synthetic", &[0x7224_c50a_b3c7_cae0]),
         ("chaos", &[0x9b9e_c944_6bf0_e46a, 0x45e7_087c_4c3b_d261]),
         ("cohorts", &[0xe133_4fe7_275c_6c80, 0xb88e_5413_07dc_2297]),
+        (
+            "transcripts",
+            &[
+                0xff72_c52d_d7f1_9dee,
+                0xff72_c52d_d7f1_9dee,
+                0xff72_c52d_d7f1_9dee,
+                0x50cb_d201_f44d_7d83,
+                0x16bd_662b_9b1d_152b,
+                0xe5cc_17d3_5280_7133,
+            ],
+        ),
     ];
     let render = |rows: &[(&str, Vec<u64>)]| {
         rows.iter()

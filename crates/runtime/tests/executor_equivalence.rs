@@ -21,25 +21,29 @@
 use std::panic::{self, catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+mod walks;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vgbl_media::cache::GopCache;
-use vgbl_media::codec::{EncodeConfig, EncodedVideo, Encoder};
+use vgbl_media::cache::{GopCache, VideoId};
+use vgbl_media::codec::{Decoder, EncodeConfig, EncodedVideo, Encoder};
 use vgbl_media::color::Rgb;
 use vgbl_media::synth::{FootageSpec, ShotSpec};
 use vgbl_media::timeline::FrameRate;
 use vgbl_media::{SegmentId, SegmentTable};
-use vgbl_obs::{Obs, SeriesSpec, SpanRecorder};
+use vgbl_obs::hash::fnv1a_extend;
+use vgbl_obs::{Obs, SpanRecorder};
 use vgbl_runtime::bot::{Bot, GuidedBot, RandomBot};
 use vgbl_runtime::engine::{GameSession, SessionConfig};
 use vgbl_runtime::fixtures::{fix_the_computer, FRAME};
 use vgbl_runtime::input::InputEvent;
 use vgbl_runtime::{
-    run_cohort, run_playback_cohort, run_session, DecodeReuse, LearningReport,
-    PlaybackCohortReport, PlaybackController, PlaybackStats, Result, RuntimeError, ServerReport,
-    SessionOutcome,
+    run_cohort, run_playback_cohort, run_session, run_tasks, DecodeReuse, LearningReport,
+    PlaybackCohortReport, PlaybackController, Result, RuntimeError, ServerReport, SessionOutcome,
+    SessionTask, Step,
 };
+use walks::{empty_transcript, moving_clip, play_one_session};
 
 /// A bot that panics the moment it is asked for input.
 struct PanicBot;
@@ -108,51 +112,6 @@ fn bot_sessions_played_alone(
     }
 }
 
-/// One seeded playback walk; deterministic in `(i, n_segments, steps)`.
-/// The trace timeline is the session's simulated playhead (33 ms per
-/// rendered step), never wall time.
-#[allow(clippy::too_many_arguments)]
-fn play_one_session(
-    video: Arc<EncodedVideo>,
-    segments: SegmentTable,
-    cache: Arc<GopCache>,
-    i: usize,
-    n_segments: u32,
-    steps: usize,
-    obs: &Obs,
-    rec: &mut SpanRecorder,
-) -> Result<PlaybackStats> {
-    let initial = SegmentId(i as u32 % n_segments);
-    let mut player =
-        PlaybackController::shared(video, segments, initial, cache)?.with_obs(obs);
-    // Cohort-wide series on the session playhead. Bin accumulation is
-    // commutative and the horizon (16 s) dwarfs any session playhead,
-    // so the export is byte-identical however workers interleave.
-    let renders = obs.series(SeriesSpec::counter("server.renders", 250_000, 64));
-    let switches = obs.series(SeriesSpec::counter("server.switches", 250_000, 64));
-    let mut rng = StdRng::seed_from_u64(0x9e37_79b9 ^ i as u64);
-    let mut now_us: u64 = 0;
-    rec.enter_with("session", i as u64, now_us);
-    rec.event("render", 0, now_us);
-    player.current_frame()?;
-    for step in 0..steps {
-        if rng.gen_range(0..4u32) == 0 {
-            let target = SegmentId(rng.gen_range(0..n_segments));
-            rec.event("switch", target.0 as u64, now_us);
-            switches.record(now_us, 1);
-            player.switch_segment(target)?;
-        } else {
-            player.advance_ms(33);
-            now_us = now_us.saturating_add(33_000);
-            rec.event("render", step as u64 + 1, now_us);
-            renders.record(now_us, 1);
-            player.current_frame()?;
-        }
-    }
-    rec.exit(now_us);
-    Ok(player.stats())
-}
-
 /// The playback-cohort reference: [`play_one_session`] for each index
 /// alone, in order, through one shared 64-GOP cache. Each recorder lives
 /// outside the unwind boundary, so a panicking walk still exports its
@@ -175,6 +134,7 @@ fn playback_sessions_played_alone(
         let run = catch_unwind(AssertUnwindSafe(|| {
             let (video, segments, cache) = (video.clone(), segments.clone(), cache.clone());
             play_one_session(video, segments, cache, i, n_segments, steps, obs, &mut rec)
+                .map(|(stats, _)| stats)
         }));
         obs.attach(rec);
         match row(run) {
@@ -326,5 +286,131 @@ proptest! {
         let alone = bot_sessions_played_alone(&config, n_sessions, &factory, max_steps, 50);
         panic::set_hook(prev);
         prop_assert_eq!(format!("{exec:?}"), format!("{alone:?}"));
+    }
+}
+
+/// The reference walk as a cooperative task that keeps its transcript.
+/// Each step moves the walk with the same draws, yields a fetch for the
+/// GOP its serve needs, and serves once the tick's prewarm has run.
+struct WalkTask {
+    video: Arc<EncodedVideo>,
+    segments: SegmentTable,
+    cache: Arc<GopCache>,
+    i: usize,
+    n_segments: u32,
+    steps: usize,
+    player: Option<PlaybackController>,
+    rng: StdRng,
+    /// Steps already moved.
+    step: usize,
+    /// Whether the next poll serves (after a fetch) or moves.
+    serving: bool,
+    transcript: u64,
+}
+
+impl WalkTask {
+    fn new(
+        video: &Arc<EncodedVideo>,
+        segments: &SegmentTable,
+        cache: &Arc<GopCache>,
+        i: usize,
+        steps: usize,
+    ) -> WalkTask {
+        WalkTask {
+            video: video.clone(),
+            segments: segments.clone(),
+            cache: cache.clone(),
+            i,
+            n_segments: segments.len().max(1) as u32,
+            steps,
+            player: None,
+            rng: StdRng::seed_from_u64(0x9e37_79b9 ^ i as u64),
+            step: 0,
+            serving: false,
+            transcript: empty_transcript(),
+        }
+    }
+
+    fn fetch(&mut self) -> Step<usize, std::result::Result<u64, String>> {
+        self.serving = true;
+        match self.player.as_ref().expect("player set").pending_keyframe() {
+            Ok(key) => Step::Fetch(key),
+            Err(e) => Step::Done(Err(e.to_string())),
+        }
+    }
+}
+
+impl SessionTask for WalkTask {
+    type Fetch = usize;
+    type Output = u64;
+
+    fn poll(&mut self) -> Step<usize, std::result::Result<u64, String>> {
+        let Some(player) = self.player.as_mut() else {
+            let initial = SegmentId(self.i as u32 % self.n_segments);
+            let (video, segments) = (self.video.clone(), self.segments.clone());
+            match PlaybackController::shared(video, segments, initial, self.cache.clone()) {
+                Ok(player) => self.player = Some(player),
+                Err(e) => return Step::Done(Err(e.to_string())),
+            }
+            return self.fetch();
+        };
+        if self.serving {
+            self.serving = false;
+            match player.current_frame() {
+                Ok(frame) => self.transcript = fnv1a_extend(self.transcript, frame.raw()),
+                Err(e) => return Step::Done(Err(e.to_string())),
+            }
+            if self.step == self.steps {
+                return Step::Done(Ok(self.transcript));
+            }
+            return Step::Pending;
+        }
+        self.step += 1;
+        if self.rng.gen_range(0..4u32) == 0 {
+            let target = SegmentId(self.rng.gen_range(0..self.n_segments));
+            if let Err(e) = player.seek_segment(target) {
+                return Step::Done(Err(e.to_string()));
+            }
+        } else {
+            player.advance_ms(33);
+        }
+        self.fetch()
+    }
+}
+
+// Walks scheduled on the executor, served from a cache the library
+// prewarm fills once per tick, are shown exactly the frames of the same
+// walks played alone with no cache: for every worker count, and at cache
+// capacities 0, 1 and one that holds every GOP. A prewarm that evicted,
+// inserted or decoded wrongly, or a walk that drifted from the reference,
+// would move a transcript.
+#[test]
+fn prewarmed_walks_see_the_frames_of_walks_played_alone() {
+    let (video, table) = moving_clip(10);
+    let (sessions, steps) = (12, 30);
+    let n_segments = table.len() as u32;
+    let alone: Vec<u64> = (0..sessions)
+        .map(|i| {
+            let cache = Arc::new(GopCache::new(0));
+            let (video, table) = (video.clone(), table.clone());
+            let mut rec = SpanRecorder::disabled();
+            play_one_session(video, table, cache, i, n_segments, steps, &Obs::noop(), &mut rec)
+                .unwrap()
+                .1
+        })
+        .collect();
+    let id = VideoId::of(&video);
+    for capacity in [0, 1, video.keyframes().len()] {
+        for workers in 1..=4 {
+            let cache = Arc::new(GopCache::new(capacity));
+            let tasks =
+                (0..sessions).map(|i| WalkTask::new(&video, &table, &cache, i, steps)).collect();
+            let decode = |k| Decoder::default().decode_gop_at(&video, k);
+            let run = run_tasks(tasks, 0x5eed ^ workers as u64, |plan| {
+                cache.prewarm(id, &plan.keys, workers, decode);
+            });
+            let served: Vec<u64> = run.rows.into_iter().map(|row| row.unwrap().unwrap()).collect();
+            assert_eq!(served, alone, "capacity {capacity}, {workers} workers");
+        }
     }
 }

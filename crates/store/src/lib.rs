@@ -16,7 +16,9 @@
 //! * **Compacted snapshots.** Every [`StoreConfig::snapshot_every`]
 //!   acknowledged flushes the store writes a snapshot holding the
 //!   latest record per session and drops the WAL prefix it covers,
-//!   bounding recovery work.
+//!   bounding recovery work. A snapshot that reads back rotten on every
+//!   replica drops nothing, so recovery that falls back past it still
+//!   finds every record acknowledged since the snapshot it uses.
 //! * **Shared bytes.** A record is encoded once, at append; the staged
 //!   batch, every replica's WAL and every snapshot hold handles to
 //!   those bytes, so a snapshot costs one handle per session, not a
@@ -292,10 +294,25 @@ fn encode(seq: u64, r: &CheckpointRecord) -> Vec<u8> {
 /// Why a blob failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DecodeFail {
-    /// Shorter than its header + declared payload + trailer: torn.
+    /// Shorter than its header + declared payload + trailer, and not a
+    /// whole blob with a rotten length field: torn.
     Truncated,
     /// Full length but the checksum (or magic) disagrees: rotten.
     Corrupt,
+}
+
+/// Offset of the payload length in the header.
+const LEN_AT: usize = HEADER_LEN - 4;
+
+/// Whether `bytes`, a whole blob, is a record as written but for its
+/// length field: its checksum matches with the length it has put back.
+fn written_whole(bytes: &[u8]) -> bool {
+    let body = bytes.len() - TRAILER_LEN;
+    let Ok(len) = u32::try_from(body - HEADER_LEN) else { return false };
+    let sum = u64::from_le_bytes(bytes[body..].try_into().expect("sliced"));
+    let mut fixed = bytes[..body].to_vec();
+    fixed[LEN_AT..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    fnv1a(&fixed) == sum
 }
 
 /// Decodes one record blob; `Err` classifies the damage.
@@ -309,10 +326,13 @@ fn decode(bytes: &[u8]) -> std::result::Result<(u64, CheckpointRecord), DecodeFa
     if u16le(0) != MAGIC {
         return Err(DecodeFail::Corrupt);
     }
-    let len = u32le(2 + 8 + 8 + 8 + 4 + 8 + 8 + 8) as usize;
+    let len = u32le(LEN_AT) as usize;
     let total = HEADER_LEN + len + TRAILER_LEN;
     if bytes.len() < total {
-        return Err(DecodeFail::Truncated);
+        // A rotten length field points past the blob too. The checksum
+        // tells the two apart: a blob written whole checks out under
+        // the length it has.
+        return Err(if written_whole(bytes) { DecodeFail::Corrupt } else { DecodeFail::Truncated });
     }
     // Trailing bytes beyond `total` are allowed: snapshot blobs are
     // records laid end to end, parsed from a shared slice.
@@ -619,21 +639,38 @@ impl DurableStore {
     }
 
     /// Writes a compacted snapshot (the latest acknowledged record per
-    /// session, by handle) and drops the WAL prefix it covers.
+    /// session, by handle) and, once it reads back intact, drops the WAL
+    /// prefix it covers.
+    ///
+    /// A snapshot rotten on every replica covers nothing: a scrub falls
+    /// back past it to an older snapshot, so the WAL keeps the records
+    /// acknowledged since that one.
     fn take_snapshot(&mut self) {
         if self.latest_acked.is_empty() {
             return;
         }
         let upto = self.next_seq - 1;
-        self.snapshots.push(Snapshot {
+        let snap = Snapshot {
             id: SNAP_BASE + self.snapshots.len() as u64,
             upto,
             records: self.latest_acked.values().map(|(_, rec)| rec.clone()).collect(),
-        });
-        for r in &mut self.replicas {
-            r.wal.retain(|b| b.id > upto);
+        };
+        if self.reads_intact(&snap) {
+            for r in &mut self.replicas {
+                r.wal.retain(|b| b.id > upto);
+            }
         }
+        self.snapshots.push(snap);
         self.stats.snapshots += 1;
+    }
+
+    /// Whether some replica reads `snap` back intact, as a scrub would.
+    /// A replica whose copy has not rotted holds it intact as written.
+    fn reads_intact(&self, snap: &Snapshot) -> bool {
+        (0..self.replicas.len() as u32).any(|ri| {
+            !self.cfg.faults.rot_at(ri, snap.id)
+                || parse_snapshot(&self.read(ri, snap.id, &snap.records.concat())).is_some()
+        })
     }
 
     /// The fleet-wide outage: the volatile buffer vanishes (staged
@@ -842,12 +879,15 @@ mod tests {
             assert!(decode(&b).is_err(), "flip at {i} must not decode");
             assert_eq!(parse_snapshot(&b), None, "flip at {i} must not parse");
         }
-        // A declared payload length far past the blob reads as torn; it
-        // sizes no allocation.
+        // A declared payload length far past the blob sizes no
+        // allocation. In a blob written whole it is rot; in a cut blob,
+        // a tear.
         let mut huge = bytes.clone();
         huge[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode(&huge), Err(DecodeFail::Truncated));
+        assert_eq!(decode(&huge), Err(DecodeFail::Corrupt));
         assert_eq!(parse_snapshot(&huge), None);
+        assert_eq!(decode(&huge[..bytes.len() - 1]), Err(DecodeFail::Truncated));
+        assert_eq!(decode(&bytes[..bytes.len() / 2]), Err(DecodeFail::Truncated));
     }
 
     #[test]
@@ -997,6 +1037,36 @@ mod tests {
         for (sid, c) in &r.sessions {
             let latest = (0..10u64).filter(|i| i % 3 == *sid).max().expect("non-empty");
             assert_eq!(c.record.step, latest, "post-snapshot WAL overrides the base");
+        }
+    }
+
+    #[test]
+    fn a_rotten_newest_snapshot_loses_no_acknowledged_record() {
+        // One replica, a snapshot every two flushes, bit rot 0.3, and four
+        // records, each flushed, for sessions 1, 1, 2 and 1. At these
+        // seeds the newest snapshot is rotten, and at 12 and 16 the older
+        // one too. Recovery fell back to the older one, or to none, with
+        // the WAL it covered gone: session 1 came back at seq 2, session
+        // 2 not at all, and `lost` was empty.
+        for seed in [6, 10, 11, 12, 15, 16] {
+            let faults = DiskFaultPlan::new(seed).with_bit_rot(0.3).unwrap();
+            let mut s =
+                DurableStore::new(StoreConfig { snapshot_every: 2, dual_write: false, faults });
+            let sessions = [1, 1, 2, 1];
+            for (step, &session) in (1..).zip(&sessions) {
+                s.append(&rec(session, step, format!("p{step}").as_bytes()));
+                s.flush().unwrap();
+            }
+            let r = s.recover();
+            assert!(r.scrub.snapshots_corrupt >= 1, "seed {seed}: {:?}", r.scrub);
+            for (seq, &session) in (1..).zip(&sessions) {
+                let recovered = r.sessions.get(&session).is_some_and(|c| c.seq >= seq);
+                let lost = CorruptRecord { seq, kind: CorruptKind::Rotten };
+                assert!(
+                    recovered || r.scrub.lost.contains(&lost),
+                    "seed {seed}: seq {seq} of session {session} neither recovered nor lost: {r:?}"
+                );
+            }
         }
     }
 

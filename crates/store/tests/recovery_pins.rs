@@ -82,7 +82,10 @@ fn run(kind: &str, dual_write: bool, snapshot_every: u64) -> (u64, Vec<Recovery>
 }
 
 /// `(faults, dual_write, snapshot_every, digest)`, recorded on the store
-/// as it was before snapshots shared their records' bytes.
+/// as it was before snapshots shared their records' bytes. The twelve
+/// `rot` and `all` pins with snapshots were recorded again when a
+/// snapshot that reads back rotten on every replica stopped dropping the
+/// WAL prefix it covers: recovery then reads those records again.
 const PINS: [(&str, bool, u64, u64); 56] = [
     ("clean", false, 0, 0xd4bcfae06071159e),
     ("clean", false, 1, 0x87842a0a3177ecaa),
@@ -101,13 +104,13 @@ const PINS: [(&str, bool, u64, u64); 56] = [
     ("torn", true, 3, 0x997cbb3af25b6c46),
     ("torn", true, 8, 0x342c28778b14aaed),
     ("rot", false, 0, 0x733ab35543ac88dc),
-    ("rot", false, 1, 0xdeea8dd27ec22476),
-    ("rot", false, 3, 0xdaec9445b3862f0f),
-    ("rot", false, 8, 0xb32bf74c3c899f8b),
+    ("rot", false, 1, 0xec4db15918f9a889),
+    ("rot", false, 3, 0x9b37f0258bf86f4f),
+    ("rot", false, 8, 0x3f9b23745180ee2f),
     ("rot", true, 0, 0x22a12cde2385ba42),
-    ("rot", true, 1, 0xbe89f6152f947d69),
-    ("rot", true, 3, 0xd6a7d25fe4057933),
-    ("rot", true, 8, 0x59d2996eb95a4b3e),
+    ("rot", true, 1, 0x7d43fd6de9902eee),
+    ("rot", true, 3, 0x0822bf7ba38888fd),
+    ("rot", true, 8, 0x8d861073c6bea4dd),
     ("lost", false, 0, 0x9638017e2a8e6ddd),
     ("lost", false, 1, 0xf84148dcfadfcd7c),
     ("lost", false, 3, 0x5cc36ac4eea5fd5d),
@@ -133,13 +136,13 @@ const PINS: [(&str, bool, u64, u64); 56] = [
     ("stale", true, 3, 0x9a25188a287abce6),
     ("stale", true, 8, 0x8ef04044f67d63e3),
     ("all", false, 0, 0x659f1ee07dae2c5d),
-    ("all", false, 1, 0xd202dc5813fa7ac8),
-    ("all", false, 3, 0xb0d2b1d9abf79bc0),
-    ("all", false, 8, 0xcca7a3ef336b2b2e),
+    ("all", false, 1, 0x589de39398379aae),
+    ("all", false, 3, 0xc22bd1f3c3ce1af3),
+    ("all", false, 8, 0x1636fc7ccf77cad8),
     ("all", true, 0, 0xc03095f568789fd4),
-    ("all", true, 1, 0xa3ce8c38d5bec96c),
-    ("all", true, 3, 0xa42d1c1ecb2ad37d),
-    ("all", true, 8, 0x8d93b5d354a77c89),
+    ("all", true, 1, 0xe6485473afe8de40),
+    ("all", true, 3, 0x95f327efcc1143b9),
+    ("all", true, 8, 0xd1627046f273b568),
 ];
 
 /// Every digest matches its pin, and the matrix reaches every fault
