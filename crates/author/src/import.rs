@@ -60,6 +60,11 @@ pub struct ImportReport {
 ///
 /// `ground_truth_cuts` is optional — synthetic footage provides it so the
 /// report can carry precision/recall (EXP-1).
+///
+/// # Errors
+/// Fails, leaving `project` as it was, on footage of another frame size
+/// than the project's (checked before any detection or encoding), on
+/// empty footage, or when the encoder rejects its configuration.
 pub fn import_footage(
     project: &mut Project,
     frames: &[Frame],
@@ -67,6 +72,9 @@ pub fn import_footage(
     config: &ImportConfig,
     ground_truth_cuts: Option<&[usize]>,
 ) -> Result<ImportReport> {
+    if let Some(first) = frames.first() {
+        project.check_frame_size(first.width(), first.height())?;
+    }
     let detector = ShotDetector::new(config.detector.clone());
     let cuts: Vec<usize> = detector.detect(frames).iter().map(|c| c.frame).collect();
     let table = SegmentTable::from_cuts(frames.len(), &cuts)?;
@@ -85,8 +93,8 @@ pub fn import_footage(
         accuracy: ground_truth_cuts.map(|truth| score_detection(&cuts, truth, 1)),
         cuts,
     };
-    project.rate = rate;
     project.attach_video(video, table)?;
+    project.rate = rate;
     Ok(report)
 }
 
@@ -158,6 +166,22 @@ mod tests {
             None
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_failed_import_leaves_the_project_as_it_was() {
+        // 48×32 footage at 24 fps into a 64×48 project at 30 fps.
+        let mut f = footage();
+        f.rate = FrameRate::new(24, 1).unwrap();
+        let mut project = Project::new("demo", (64, 48), FrameRate::FPS30);
+        let before = project.clone();
+        let err = import_footage(&mut project, &f.frames, f.rate, &ImportConfig::default(), None)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "project integrity violation: video is 48x32, project expects 64x48"
+        );
+        assert_eq!(project, before);
     }
 
     #[test]

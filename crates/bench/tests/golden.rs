@@ -24,6 +24,12 @@
 //! residual decode. Its footage has `branchy_watch`'s settings as well
 //! as its shape: `Quality::Medium`, shots of 24 frames with no lighting
 //! drift, noise 2 and two sprites of one size and speed per shot.
+//!
+//! `AUTHOR_PINNED` was pinned the same way, before the copied-macroblock
+//! motion search and the mask-driven residual writer. It encodes footage
+//! with `author_import`'s settings (64×48, nine 30-frame shots,
+//! `Quality::Medium`, GOP 15, a ±7 search, noise 2, no drift, two 8×8
+//! sprites) through `encode_aligned`, with keyframes on the shot cuts.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,6 +54,9 @@ const HIGH_PINNED: [(&str, u64); 2] =
 
 const BRANCHY_PINNED: [(&str, u64); 2] =
     [("branchy_encoded", 0xec82dcbe6e9d5b37), ("branchy_decoded", 0x98f24e0ac52cace9)];
+
+const AUTHOR_PINNED: [(&str, u64); 2] =
+    [("author_encoded", 0x275949589aec7a40), ("author_decoded", 0xe1a8ae1f2d228765)];
 
 fn encoded_checksum(video: &EncodedVideo) -> u64 {
     let mut h = FNV_OFFSET;
@@ -122,32 +131,44 @@ fn high_quality_codec_output_is_byte_identical_to_pin() {
     assert_pinned(&HIGH_PINNED, &[("high_encoded", encoded), ("high_decoded", decoded)]);
 }
 
-/// `shots` seeded 128×96 shots with `branchy_watch`'s footage settings:
-/// 24 frames each, no lighting drift, noise 2, and two 16×16 sprites
-/// moving 2 and 1.5 pixels a frame.
-fn branchy_footage(shots: usize, seed: u64) -> Footage {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut spec = FootageSpec::random(&mut rng, 128, 96, shots, 24, 24);
+/// `shots` seeded `width`×`height` shots of `frames` frames with the
+/// sessionbench workloads' footage settings: no lighting drift, noise 2,
+/// and two `sprite`×`sprite` sprites moving 2 and 1.5 pixels a frame.
+fn workload_footage(width: u32, height: u32, shots: usize, frames: usize, sprite: u32) -> Footage {
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut spec = FootageSpec::random(&mut rng, width, height, shots, frames, frames);
     for shot in &mut spec.shots {
         shot.luma_drift = 0;
         shot.noise = 2;
         let first = shot.sprites[0].clone();
         shot.sprites.resize(2, first);
-        for sprite in &mut shot.sprites {
-            sprite.shape = SpriteShape::Rect(16, 16);
-            sprite.vel = (2.0f32.copysign(sprite.vel.0), 1.5f32.copysign(sprite.vel.1));
+        for s in &mut shot.sprites {
+            s.shape = SpriteShape::Rect(sprite, sprite);
+            s.vel = (2.0f32.copysign(s.vel.0), 1.5f32.copysign(s.vel.1));
         }
     }
-    spec.render().expect("branchy footage renders")
+    spec.render().expect("workload footage renders")
 }
 
 #[test]
 fn branchy_codec_output_is_byte_identical_to_pin() {
-    let footage = branchy_footage(3, 42);
+    let footage = workload_footage(128, 96, 3, 24, 16);
     let config = EncodeConfig { quality: Quality::Medium, gop: 12, threads: 1, search_range: 3 };
     let [encoded, decoded] = encode_checksums(&footage, config);
     assert_pinned(
         &BRANCHY_PINNED,
         &[("branchy_encoded", encoded), ("branchy_decoded", decoded)],
     );
+}
+
+#[test]
+fn author_codec_output_is_byte_identical_to_pin() {
+    let footage = workload_footage(64, 48, 9, 30, 8);
+    let config = EncodeConfig { quality: Quality::Medium, gop: 15, threads: 1, search_range: 7 };
+    let video = Encoder::new(config)
+        .encode_aligned(&footage.frames, footage.rate, &footage.cuts)
+        .expect("footage encodes");
+    assert_eq!(video.keyframes().len(), 18, "two GOPs a shot");
+    let (encoded, decoded) = (encoded_checksum(&video), decoded_checksum(&video));
+    assert_pinned(&AUTHOR_PINNED, &[("author_encoded", encoded), ("author_decoded", decoded)]);
 }

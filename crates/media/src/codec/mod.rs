@@ -316,39 +316,64 @@ fn quantize(v: i64, q: i64) -> i64 {
 /// forms (an 8-bit sample minus an 8-bit prediction, −255..=255): a
 /// lookup per sample in place of an integer division.
 struct Quantiser {
-    step: i64,
+    step: i32,
     /// `quantize(v, step)` at index `v + 255`.
     levels: [i16; 511],
 }
 
 impl Quantiser {
     fn new(step: i64) -> Quantiser {
-        Quantiser { step, levels: std::array::from_fn(|i| quantize(i as i64 - 255, step) as i16) }
+        Quantiser {
+            step: step as i32,
+            levels: std::array::from_fn(|i| quantize(i as i64 - 255, step) as i16),
+        }
     }
 
     /// The level of the residual `sample - pred`.
     #[inline]
-    fn level(&self, sample: u8, pred: i64) -> i64 {
-        i64::from(self.levels[(i64::from(sample) - pred + 255) as usize])
+    fn level(&self, sample: u8, pred: u8) -> i16 {
+        self.levels[(i32::from(sample) - i32::from(pred) + 255) as usize]
+    }
+
+    /// The level of `sample` against `pred`, and the sample the decoder
+    /// reconstructs from it.
+    #[inline]
+    fn code(&self, sample: u8, pred: u8) -> (i16, u8) {
+        let level = self.level(sample, pred);
+        (level, (i32::from(pred) + i32::from(level) * self.step).clamp(0, 255) as u8)
     }
 }
 
-/// Zero-run RLE + Golomb encoding of a residual sequence: each nonzero
+/// Zero-run RLE + Golomb encoding of a plane's levels: each nonzero
 /// level goes out with the zero run before it as one `(ue, se)` token,
 /// and a trailing zero run as a lone `ue`.
-fn write_residuals(w: &mut BitWriter, residuals: &[i64]) {
+///
+/// Levels go 64 at a time: a mask of the nonzero ones is walked with
+/// `trailing_zeros`, so a zero costs no branch of its own, and the zero
+/// run after a chunk's last level carries into the next chunk.
+fn write_residuals(w: &mut BitWriter, levels: &[i16]) {
     let mut run = 0u64;
-    for &level in residuals {
-        if level == 0 {
-            run += 1;
-        } else {
-            w.put_ue_se(run, level);
+    for chunk in levels.chunks(64) {
+        let mut mask = nonzero_mask(chunk);
+        let mut next = 0;
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            w.put_ue_se(run + (i - next) as u64, i64::from(chunk[i]));
             run = 0;
+            next = i + 1;
+            mask &= mask - 1;
         }
+        run += (chunk.len() - next) as u64;
     }
     if run > 0 {
         w.put_ue(run);
     }
+}
+
+/// Bit `i` set where `levels[i]` is nonzero, for up to 64 levels.
+#[inline]
+fn nonzero_mask(levels: &[i16]) -> u64 {
+    levels.iter().enumerate().fold(0, |mask, (i, &l)| mask | (u64::from(l != 0) << i))
 }
 
 /// The largest level magnitude [`write_residuals`] codes: a residual is
@@ -406,21 +431,25 @@ fn read_residuals(
 /// Runs on the raw sample buffer (the prediction needs only `buf[i-1]` /
 /// `buf[i-stride]`), so the scan is index arithmetic instead of
 /// per-pixel coordinate accessors; the reconstruction is wrapped into a
-/// [`Plane`] once at the end.
-fn encode_plane_intra(w: &mut BitWriter, src: &Plane, quant: &Quantiser) -> Plane {
+/// [`Plane`] once at the end. `levels` is the GOP's level buffer.
+fn encode_plane_intra(
+    w: &mut BitWriter,
+    src: &Plane,
+    quant: &Quantiser,
+    levels: &mut Vec<i16>,
+) -> Plane {
     let (pw, ph) = (src.width(), src.height());
     let n = (pw * ph) as usize;
     let stride = pw as usize;
     let sdata = src.data();
     let mut recon = vec![0u8; n];
-    let mut residuals = Vec::with_capacity(n);
+    levels.clear();
     for i in 0..n {
-        let pred = intra_pred(&recon, i, stride);
-        let qres = quant.level(sdata[i], pred);
-        residuals.push(qres);
-        recon[i] = (pred + qres * quant.step).clamp(0, 255) as u8;
+        let (level, sample) = quant.code(sdata[i], intra_pred(&recon, i, stride) as u8);
+        levels.push(level);
+        recon[i] = sample;
     }
-    write_residuals(w, &residuals);
+    write_residuals(w, levels);
     Plane::from_raw(pw, ph, recon)
 }
 
@@ -515,43 +544,73 @@ fn mb_grid(width: u32, height: u32) -> (u32, u32) {
 
 /// Full-search motion estimation on luma; one vector per macroblock.
 /// `range` must be at most 127, the largest component the bitstream codes.
+///
+/// Candidates are probed in a copy of the reference padded by `range`,
+/// where vector `(dx, dy)` sits at offset `(dx + range, dy + range)`, so
+/// no probe clamps. A whole macroblock is copied into a fixed array once
+/// and each candidate sums all 16 rows with [`Plane::window_sad`]; the
+/// partial macroblocks at the right and bottom edges use
+/// [`Plane::block_sad`]. Both go through the one scan in [`best_vector`].
 fn motion_search(cur: &Plane, reference: &Plane, range: u8) -> Vec<(i8, i8)> {
     debug_assert!(range <= 127);
     let (cols, rows) = mb_grid(cur.width(), cur.height());
-    let r = range as i64;
-    // Vector (dx, dy) reads the padded copy at offset (dx + r, dy + r),
-    // which stays inside it, so no probe clamps.
     let padded = reference.padded(range.into());
+    let stride = padded.width() as usize;
     let mut mvs = Vec::with_capacity((cols * rows) as usize);
     for my in 0..rows {
         for mx in 0..cols {
-            let x = mx * MB;
-            let y = my * MB;
+            let (x, y) = (mx * MB, my * MB);
             let bw = MB.min(cur.width() - x);
             let bh = MB.min(cur.height() - y);
-            // Zero vector first: it is the overwhelmingly common winner and
-            // seeds the early-exit bound.
-            let mut best = cur.block_sad(&padded, x, y, bw, bh, r, r, u64::MAX);
-            let mut best_mv = (0i8, 0i8);
-            'search: for dy in -r..=r {
-                for dx in -r..=r {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    if best == 0 {
-                        break 'search;
-                    }
-                    let sad = cur.block_sad(&padded, x, y, bw, bh, dx + r, dy + r, best);
-                    if sad < best {
-                        best = sad;
-                        best_mv = (dx as i8, dy as i8);
-                    }
-                }
-            }
-            mvs.push(best_mv);
+            let mv = if bw == MB && bh == MB {
+                let block = cur.block16(x, y);
+                best_vector(range, |px, py| {
+                    padded.window_sad(&block, (y as usize + py) * stride + x as usize + px)
+                })
+            } else {
+                best_vector(range, |px, py| {
+                    cur.block_sad(&padded, x, y, bw, bh, px as i64, py as i64, u64::MAX)
+                })
+            };
+            mvs.push(mv);
         }
     }
     mvs
+}
+
+/// The full search over one macroblock: `sad(px, py)` is the SAD of the
+/// candidate at offset `(px, py)` of the padded reference, vector
+/// `(px − range, py − range)`.
+///
+/// The zero vector goes first: it is the overwhelmingly common winner.
+/// Then every offset row-major, and only a strictly smaller SAD replaces
+/// the incumbent, so the first of equal minima wins. A zero SAD cannot
+/// be beaten, so the scan stops there. A candidate's SAD is summed in
+/// full: stopping its sum once it reaches the incumbent's would return a
+/// sum that loses anyway, so no vector depends on it.
+// Inlined into each caller, so each scan runs its own SAD kernel with no
+// call per candidate.
+#[inline(always)]
+fn best_vector(range: u8, mut sad: impl FnMut(usize, usize) -> u64) -> (i8, i8) {
+    let r = usize::from(range);
+    let mut best = sad(r, r);
+    let mut best_mv = (0i8, 0i8);
+    'search: for py in 0..=2 * r {
+        for px in 0..=2 * r {
+            if best == 0 {
+                break 'search;
+            }
+            if px == r && py == r {
+                continue;
+            }
+            let s = sad(px, py);
+            if s < best {
+                best = s;
+                best_mv = ((px as i64 - r as i64) as i8, (py as i64 - r as i64) as i8);
+            }
+        }
+    }
+    best_mv
 }
 
 /// Motion-compensated prediction samples for the row `y`, span
@@ -610,36 +669,34 @@ fn predict_mb_row(dst: &mut Vec<u8>, rdata: &[u8], pw: u32, ph: u32, y: u32, mvs
 }
 
 /// Inter-codes one plane given per-macroblock motion vectors.
-/// Returns the reconstructed plane.
+/// Returns the reconstructed plane. `levels` is the GOP's level buffer.
 fn encode_plane_inter(
     w: &mut BitWriter,
     src: &Plane,
     reference: &Plane,
     mvs: &[(i8, i8)],
     quant: &Quantiser,
+    levels: &mut Vec<i16>,
 ) -> Plane {
     let (pw, ph) = (src.width(), src.height());
     let (cols, _) = mb_grid(pw, ph);
     let n = (pw * ph) as usize;
-    let stride = pw as usize;
-    let sdata = src.data();
     let rdata = reference.data();
-    let mut recon = vec![0u8; n];
-    let mut residuals = Vec::with_capacity(n);
-    let mut pred_row = Vec::with_capacity(stride);
+    // Build the motion-compensated prediction straight into the
+    // reconstruction buffer, as the decoder does, then turn each sample
+    // into its level and its reconstruction in one pass.
+    let mut recon = Vec::with_capacity(n);
     for y in 0..ph {
-        pred_row.clear();
         let mb_row = ((y / MB) * cols) as usize;
-        predict_mb_row(&mut pred_row, rdata, pw, ph, y, &mvs[mb_row..mb_row + cols as usize]);
-        let row = y as usize * stride;
-        for (x, &pred) in pred_row.iter().enumerate() {
-            let pred = pred as i64;
-            let qres = quant.level(sdata[row + x], pred);
-            residuals.push(qres);
-            recon[row + x] = (pred + qres * quant.step).clamp(0, 255) as u8;
-        }
+        predict_mb_row(&mut recon, rdata, pw, ph, y, &mvs[mb_row..mb_row + cols as usize]);
     }
-    write_residuals(w, &residuals);
+    levels.clear();
+    levels.extend(src.data().iter().zip(recon.iter_mut()).map(|(&sample, pred)| {
+        let (level, sample) = quant.code(sample, *pred);
+        *pred = sample;
+        level
+    }));
+    write_residuals(w, levels);
     Plane::from_raw(pw, ph, recon)
 }
 
@@ -801,7 +858,7 @@ impl Encoder {
 fn frame_skips(src: &[Plane; 3], reference: &[Plane; 3], quant: &Quantiser) -> bool {
     for (s, r) in src.iter().zip(reference.iter()) {
         for (&a, &b) in s.data().iter().zip(r.data().iter()) {
-            if quant.level(a, b.into()) != 0 {
+            if quant.level(a, b) != 0 {
                 return false;
             }
         }
@@ -813,6 +870,8 @@ fn frame_skips(src: &[Plane; 3], reference: &[Plane; 3], quant: &Quantiser) -> b
 fn encode_gop(frames: &[Frame], cfg: &EncodeConfig) -> Vec<EncodedFrame> {
     let quant = Quantiser::new(cfg.quality.qstep());
     let mut out = Vec::with_capacity(frames.len());
+    // Every plane's levels, one plane at a time.
+    let mut levels = Vec::with_capacity((frames[0].width() * frames[0].height()) as usize);
     let mut reference: Option<[Plane; 3]> = None;
     for (i, frame) in frames.iter().enumerate() {
         let src = Plane::split(frame);
@@ -822,9 +881,9 @@ fn encode_gop(frames: &[Frame], cfg: &EncodeConfig) -> Vec<EncodedFrame> {
         if i == 0 {
             kind = FrameKind::Intra;
             recon = [
-                encode_plane_intra(&mut w, &src[0], &quant),
-                encode_plane_intra(&mut w, &src[1], &quant),
-                encode_plane_intra(&mut w, &src[2], &quant),
+                encode_plane_intra(&mut w, &src[0], &quant, &mut levels),
+                encode_plane_intra(&mut w, &src[1], &quant, &mut levels),
+                encode_plane_intra(&mut w, &src[2], &quant, &mut levels),
             ];
         } else {
             let ref_planes = reference.as_ref().expect("P-frame has a reference");
@@ -842,9 +901,9 @@ fn encode_gop(frames: &[Frame], cfg: &EncodeConfig) -> Vec<EncodedFrame> {
                 w.put_se(dy as i64);
             }
             recon = [
-                encode_plane_inter(&mut w, &src[0], &ref_planes[0], &mvs, &quant),
-                encode_plane_inter(&mut w, &src[1], &ref_planes[1], &mvs, &quant),
-                encode_plane_inter(&mut w, &src[2], &ref_planes[2], &mvs, &quant),
+                encode_plane_inter(&mut w, &src[0], &ref_planes[0], &mvs, &quant, &mut levels),
+                encode_plane_inter(&mut w, &src[1], &ref_planes[1], &mvs, &quant, &mut levels),
+                encode_plane_inter(&mut w, &src[2], &ref_planes[2], &mvs, &quant, &mut levels),
             ];
         }
         out.push(EncodedFrame { kind, data: w.finish() });
@@ -1042,12 +1101,12 @@ mod tests {
     #[test]
     fn residual_rle_roundtrip() {
         // Short tokens take the table, long runs and levels the codes.
-        let mut long = vec![0i64; 300];
+        let mut long = vec![0i16; 300];
         long[70] = 255;
         long[71] = -255;
         long[200] = 31;
         long[201] = -32;
-        let cases: Vec<Vec<i64>> = vec![
+        let cases: Vec<Vec<i16>> = vec![
             vec![],
             vec![0, 0, 0, 0],
             vec![5],
@@ -1063,6 +1122,7 @@ mod tests {
             write_residuals(&mut w, &[0, 1]);
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
+            let case: Vec<i64> = case.into_iter().map(i64::from).collect();
             assert_eq!(dense_residuals(&mut r, case.len()).unwrap(), case);
             assert_eq!(dense_residuals(&mut r, 2).unwrap(), [0, 1]);
         }
@@ -1443,7 +1503,7 @@ mod token_tests {
             let len = rng.gen_range(0..16 + n / 3usize);
             (0..len).map(|_| rng.gen()).collect()
         } else {
-            let mut residuals = vec![0i64; n];
+            let mut residuals = vec![0i16; n];
             let mut i = if kind == 1 { 0 } else { rng.gen_range(0..=70usize) };
             while i < n {
                 residuals[i] = match (kind, rng.gen_range(0..20)) {
@@ -1498,7 +1558,7 @@ mod token_tests {
         // the trailing run and that one bit as a token (57, 0).
         let mut residuals = Vec::new();
         for _ in 0..7 {
-            residuals.extend(std::iter::repeat_n(0i64, 30));
+            residuals.extend(std::iter::repeat_n(0i16, 30));
             residuals.push(1);
         }
         residuals.extend(std::iter::repeat_n(0, 57));
@@ -1551,10 +1611,12 @@ mod motion_search_tests {
     }
 
     /// Plane content: random bytes, or one value (a flat plane, where
-    /// every probe ties), cycled to fill the plane.
+    /// every probe ties), cycled to fill the plane. Short cycles make
+    /// periodic planes, where many probes tie.
     fn content() -> impl Strategy<Value = Vec<u8>> {
         prop_oneof![
             proptest::collection::vec(any::<u8>(), 1..64),
+            proptest::collection::vec(any::<u8>(), 1..4),
             any::<u8>().prop_map(|v| vec![v]),
         ]
     }
@@ -1563,23 +1625,85 @@ mod motion_search_tests {
         Plane::from_raw(w, h, bytes.iter().copied().cycle().take((w * h) as usize).collect())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// How the current plane is made from the reference.
+    #[derive(Debug, Clone)]
+    enum Current {
+        /// Content of its own.
+        Own(Vec<u8>),
+        /// The reference moved by a vector inside the search range, so
+        /// a probe mid-scan has a zero SAD and the scan stops there.
+        Shifted(i64, i64),
+        /// The reference plus noise of up to ±`amplitude` per sample, so
+        /// near-equal SADs leave tie-breaking to decide.
+        Noisy(u8, u64),
+    }
 
+    fn current() -> impl Strategy<Value = Current> {
+        prop_oneof![
+            content().prop_map(Current::Own),
+            (-20i64..=20, -20i64..=20).prop_map(|(dx, dy)| Current::Shifted(dx, dy)),
+            (0u8..=2, any::<u64>()).prop_map(|(a, seed)| Current::Noisy(a, seed)),
+        ]
+    }
+
+    fn current_plane(reference: &Plane, range: u8, how: &Current) -> Plane {
+        let (w, h) = (reference.width(), reference.height());
+        match how {
+            Current::Own(bytes) => plane_from(w, h, bytes),
+            Current::Shifted(dx, dy) => {
+                let r = i64::from(range);
+                let (dx, dy) = ((*dx).clamp(-r, r), (*dy).clamp(-r, r));
+                let data = (0..h as i64)
+                    .flat_map(|y| (0..w as i64).map(move |x| (x, y)))
+                    .map(|(x, y)| reference.sample_clamped(x + dx, y + dy))
+                    .collect();
+                Plane::from_raw(w, h, data)
+            }
+            Current::Noisy(amplitude, seed) => {
+                use rand::{Rng, SeedableRng};
+                let mut rng = rand::rngs::StdRng::seed_from_u64(*seed);
+                let a = i16::from(*amplitude);
+                let data = reference
+                    .data()
+                    .iter()
+                    .map(|&v| (i16::from(v) + rng.gen_range(-a..=a)).clamp(0, 255) as u8)
+                    .collect();
+                Plane::from_raw(w, h, data)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Sizes from 1×1 to 48×48 give whole and partial macroblocks.
         #[test]
         fn motion_search_matches_naive_full_search(
             w in 1u32..=48,
             h in 1u32..=48,
-            range in 0u8..=12,
-            cur_bytes in content(),
+            range in 0u8..=20,
             ref_bytes in content(),
+            how in current(),
         ) {
-            let cur = plane_from(w, h, &cur_bytes);
             let reference = plane_from(w, h, &ref_bytes);
+            let cur = current_plane(&reference, range, &how);
             prop_assert_eq!(
                 motion_search(&cur, &reference, range),
                 naive_search(&cur, &reference, range)
             );
+        }
+    }
+
+    #[test]
+    fn motion_search_matches_naive_full_search_at_the_widest_range() {
+        // 40×24: one whole macroblock, three partial ones. The current
+        // plane is the reference moved by (90, −100), reached only near
+        // the end of the ±127 scan, and beaten by nothing before it.
+        let bytes: Vec<u8> = (0..61u32).map(|i| (i * 97 % 251) as u8).collect();
+        let reference = plane_from(40, 24, &bytes);
+        for how in [Current::Shifted(90, -100), Current::Noisy(2, 5)] {
+            let cur = current_plane(&reference, 127, &how);
+            assert_eq!(motion_search(&cur, &reference, 127), naive_search(&cur, &reference, 127));
         }
     }
 }
