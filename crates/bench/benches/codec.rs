@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vgbl::media::codec::{Decoder, EncodeConfig, Encoder, Quality};
-use vgbl_bench::{bench_footage, encode};
+use vgbl_bench::{bench_footage, encode, workload_footage};
 
 fn bench(c: &mut Criterion) {
     let footage = bench_footage(160, 120, 4, 2);
@@ -48,20 +48,26 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // `author_import` encodes about 270 frames of 64x48 footage at Medium,
-    // GOP 15 and the default ±7 search on one worker; the encoder is
-    // nearly all of that workload's time.
-    let import = bench_footage(64, 48, 9, 7);
+    // `author_import` encodes 270 frames of 64x48 footage (nine 30-frame
+    // shots, two 8x8 sprites each) at Medium, GOP 15 and a ±7 search on
+    // one worker, with keyframes on the cuts; the encoder is nearly all
+    // of that workload's time.
+    let import = workload_footage(64, 48, 9, 30, 8);
+    let config = EncodeConfig { quality: Quality::Medium, gop: 15, threads: 1, search_range: 7 };
+    let encoder = Encoder::new(config);
     let mut group = c.benchmark_group("author_import_codec");
     group.throughput(Throughput::Elements(import.len() as u64 * 64 * 48));
     group.sample_size(10);
-    group.bench_function("encode", |b| b.iter(|| encode(&import, 15, Quality::Medium, 1)));
+    group.bench_function("encode", |b| {
+        b.iter(|| encoder.encode_aligned(&import.frames, import.rate, &import.cuts).unwrap())
+    });
     group.finish();
 
     // Every `branchy_watch` branch lands on a keyframe and decodes one
-    // GOP of 128x96 Medium footage (GOP 12, ±3 search) on one thread;
-    // decoding is nearly all of that workload's time.
-    let branchy = bench_footage(128, 96, 3, 7);
+    // GOP of 128x96 Medium footage (twelve 24-frame shots, two 16x16
+    // sprites each; GOP 12, ±3 search) on one thread; decoding is nearly
+    // all of that workload's time.
+    let branchy = workload_footage(128, 96, 12, 24, 16);
     let config = EncodeConfig { quality: Quality::Medium, gop: 12, threads: 1, search_range: 3 };
     let video = Encoder::new(config).encode(&branchy.frames, branchy.rate).expect("encodes");
     let keyframes = video.keyframes();

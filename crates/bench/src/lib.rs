@@ -14,7 +14,7 @@ use vgbl::author::object_editor::ObjectEditor;
 use vgbl::author::wizard::{escape_template, quiz_template, tour_template};
 use vgbl::author::{CommandStack, Project};
 use vgbl::media::codec::{EncodeConfig, EncodedVideo, Encoder, Quality};
-use vgbl::media::synth::{Footage, FootageSpec};
+use vgbl::media::synth::{Footage, FootageSpec, SpriteShape};
 use vgbl::media::{FrameRate, SegmentTable};
 use vgbl::scene::{ObjectKind, Rect, SceneGraph};
 use vgbl::script::{Action, EventKind, Trigger};
@@ -27,6 +27,33 @@ pub fn bench_footage(width: u32, height: u32, shots: usize, seed: u64) -> Footag
     FootageSpec::random(&mut rng, width, height, shots, 20, 40)
         .render()
         .expect("bench footage renders")
+}
+
+/// `shots` seeded `width`×`height` shots of `frames` frames with the
+/// sessionbench workloads' footage settings: no lighting drift, noise 2,
+/// and two `sprite`×`sprite` sprites moving 2 and 1.5 pixels a frame.
+/// Noise sets how many residual tokens a decode reads, so codec benches
+/// at a workload's shape use this footage, not [`bench_footage`]'s.
+pub fn workload_footage(
+    width: u32,
+    height: u32,
+    shots: usize,
+    frames: usize,
+    sprite: u32,
+) -> Footage {
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut spec = FootageSpec::random(&mut rng, width, height, shots, frames, frames);
+    for shot in &mut spec.shots {
+        shot.luma_drift = 0;
+        shot.noise = 2;
+        let first = shot.sprites[0].clone();
+        shot.sprites.resize(2, first);
+        for s in &mut shot.sprites {
+            s.shape = SpriteShape::Rect(sprite, sprite);
+            s.vel = (2.0f32.copysign(s.vel.0), 1.5f32.copysign(s.vel.1));
+        }
+    }
+    spec.render().expect("workload footage renders")
 }
 
 /// Encodes footage with the given GOP and quality.

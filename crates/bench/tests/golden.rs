@@ -31,13 +31,11 @@
 //! `Quality::Medium`, GOP 15, a ±7 search, noise 2, no drift, two 8×8
 //! sprites) through `encode_aligned`, with keyframes on the shot cuts.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use vgbl::media::codec::{Decoder, EncodeConfig, EncodedVideo, Encoder, Quality};
-use vgbl::media::synth::{Footage, FootageSpec, SpriteShape};
+use vgbl::media::synth::Footage;
 use vgbl::media::FrameKind;
 use vgbl::obs::hash::{fnv1a_extend, FNV_OFFSET};
-use vgbl_bench::{bench_footage, encode};
+use vgbl_bench::{bench_footage, encode, workload_footage};
 
 const PINNED: [(&str, u64); 4] = [
     ("medium_encoded", 0xd4a787a825f4031c),
@@ -129,25 +127,6 @@ fn high_quality_codec_output_is_byte_identical_to_pin() {
     let config = EncodeConfig { quality: Quality::High, gop: 12, threads: 1, search_range: 3 };
     let [encoded, decoded] = encode_checksums(&footage, config);
     assert_pinned(&HIGH_PINNED, &[("high_encoded", encoded), ("high_decoded", decoded)]);
-}
-
-/// `shots` seeded `width`×`height` shots of `frames` frames with the
-/// sessionbench workloads' footage settings: no lighting drift, noise 2,
-/// and two `sprite`×`sprite` sprites moving 2 and 1.5 pixels a frame.
-fn workload_footage(width: u32, height: u32, shots: usize, frames: usize, sprite: u32) -> Footage {
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut spec = FootageSpec::random(&mut rng, width, height, shots, frames, frames);
-    for shot in &mut spec.shots {
-        shot.luma_drift = 0;
-        shot.noise = 2;
-        let first = shot.sprites[0].clone();
-        shot.sprites.resize(2, first);
-        for s in &mut shot.sprites {
-            s.shape = SpriteShape::Rect(sprite, sprite);
-            s.vel = (2.0f32.copysign(s.vel.0), 1.5f32.copysign(s.vel.1));
-        }
-    }
-    spec.render().expect("workload footage renders")
 }
 
 #[test]

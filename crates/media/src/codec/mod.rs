@@ -23,7 +23,7 @@ pub mod plane;
 use crate::cache::VideoId;
 use crate::container::FrameKind;
 use crate::error::MediaError;
-use crate::frame::Frame;
+use crate::frame::{Frame, MAX_DIM};
 use crate::parallel::parallel_map_indexed;
 use crate::timeline::FrameRate;
 use crate::Result;
@@ -453,48 +453,62 @@ fn encode_plane_intra(
     Plane::from_raw(pw, ph, recon)
 }
 
-fn decode_plane_intra(r: &mut BitReader<'_>, pw: u32, ph: u32, q: i64) -> Result<Plane> {
-    let n = (pw * ph) as usize;
-    let mut recon = vec![0u8; n];
-    let mut at = IntraCursor { i: 0, x: 0, stride: pw as usize };
-    read_residuals(r, n, |run, level| {
-        at.fill(&mut recon, run);
-        at.put(&mut recon, level * q);
-    })?;
-    at.fill(&mut recon, n - at.i);
-    Ok(Plane::from_raw(pw, ph, recon))
+/// Intra-decodes a keyframe's three planes into one RGB buffer: channel
+/// `c` of pixel `i` is sample `3 * i + c`, predicted from the same
+/// channel of its left neighbour, else of the pixel above, else
+/// mid-grey (as [`intra_pred`] on a plane).
+fn decode_intra(r: &mut BitReader<'_>, w: u32, h: u32, q: i64) -> Result<Vec<u8>> {
+    let n = (w * h) as usize;
+    let mut rgb = vec![0u8; 3 * n];
+    for channel in 0..3 {
+        let mut at = IntraCursor { i: 0, x: 0, width: w as usize, channel };
+        read_residuals(r, n, |run, level| {
+            at.fill(&mut rgb, run);
+            at.put(&mut rgb, level * q);
+        })?;
+        at.fill(&mut rgb, n - at.i);
+    }
+    Ok(rgb)
 }
 
-/// The intra decoder's place in the scan: sample `i`, in column `x` of
-/// its row, so the prediction needs no division.
+/// The intra decoder's place in the scan of one channel of an RGB
+/// buffer: pixel `i`, in column `x` of its row, so the prediction needs
+/// no division.
 struct IntraCursor {
     i: usize,
     x: usize,
-    stride: usize,
+    width: usize,
+    channel: usize,
 }
 
 impl IntraCursor {
+    /// The current sample's index in the RGB buffer.
+    #[inline]
+    fn at(&self) -> usize {
+        3 * self.i + self.channel
+    }
+
     /// The prediction for the current sample: its left neighbour, else
     /// the one above, else mid-grey (as [`intra_pred`]).
     #[inline]
-    fn pred(&self, recon: &[u8]) -> u8 {
+    fn pred(&self, rgb: &[u8]) -> u8 {
         if self.x > 0 {
-            recon[self.i - 1]
-        } else if self.i >= self.stride {
-            recon[self.i - self.stride]
+            rgb[self.at() - 3]
+        } else if self.i >= self.width {
+            rgb[self.at() - 3 * self.width]
         } else {
             128
         }
     }
 
     /// Reconstructs the current sample as its prediction plus `delta`,
-    /// and moves to the next.
+    /// and moves to the next pixel.
     #[inline]
-    fn put(&mut self, recon: &mut [u8], delta: i64) {
-        recon[self.i] = (i64::from(self.pred(recon)) + delta).clamp(0, 255) as u8;
+    fn put(&mut self, rgb: &mut [u8], delta: i64) {
+        rgb[self.at()] = (i64::from(self.pred(rgb)) + delta).clamp(0, 255) as u8;
         self.i += 1;
         self.x += 1;
-        if self.x == self.stride {
+        if self.x == self.width {
             self.x = 0;
         }
     }
@@ -503,18 +517,20 @@ impl IntraCursor {
     /// each equals its prediction, so the left neighbour propagates
     /// along the row and only a row's first sample reads the one above.
     #[inline]
-    fn fill(&mut self, recon: &mut [u8], mut run: usize) {
+    fn fill(&mut self, rgb: &mut [u8], mut run: usize) {
         while run > 0 {
             if self.x == 0 {
-                self.put(recon, 0);
+                self.put(rgb, 0);
                 run -= 1;
             } else {
-                let span = run.min(self.stride - self.x);
-                let v = recon[self.i - 1];
-                recon[self.i..self.i + span].fill(v);
+                let span = run.min(self.width - self.x);
+                let v = rgb[self.at() - 3];
+                for px in rgb[3 * self.i..3 * (self.i + span)].chunks_exact_mut(3) {
+                    px[self.channel] = v;
+                }
                 self.i += span;
                 self.x += span;
-                if self.x == self.stride {
+                if self.x == self.width {
                     self.x = 0;
                 }
                 run -= span;
@@ -613,17 +629,19 @@ fn best_vector(range: u8, mut sad: impl FnMut(usize, usize) -> u64) -> (i8, i8) 
     best_mv
 }
 
-/// Motion-compensated prediction samples for the row `y`, span
-/// `[x0, x1)`, under motion vector `(dx, dy)` with clamped sampling —
-/// appended to `pred_row`. The clamped source row is computed once per
+/// Motion-compensated prediction for the row `y`, span `[x0, x1)`,
+/// under motion vector `(dx, dy)` with clamped sampling — appended to
+/// `dst`. `rdata` holds `BPP` bytes a pixel, as does `dst`: 1 for a
+/// colour plane (the encoder), 3 for an RGB frame (the decoder, all
+/// three channels at once). The clamped source row is computed once per
 /// span; fully in-bounds spans (the overwhelming majority) are a plain
-/// slice copy, edge spans clamp per sample.
+/// slice copy, edge spans clamp per pixel.
 // Innermost prediction loop; discrete coordinates beat a geometry
 // struct per span, as in `Plane::block_sad`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn predict_span(
-    pred_row: &mut Vec<u8>,
+fn predict_span<const BPP: usize>(
+    dst: &mut Vec<u8>,
     rdata: &[u8],
     pw: u32,
     ph: u32,
@@ -633,27 +651,41 @@ fn predict_span(
     dx: i64,
     dy: i64,
 ) {
-    let stride = pw as usize;
+    let stride = pw as usize * BPP;
     let ry = (y as i64 + dy).clamp(0, ph as i64 - 1) as usize;
     let rrow = &rdata[ry * stride..ry * stride + stride];
     if x0 as i64 + dx >= 0 && x1 as i64 + dx <= pw as i64 {
-        let r0 = (x0 as i64 + dx) as usize;
-        pred_row.extend_from_slice(&rrow[r0..r0 + (x1 - x0) as usize]);
+        let r0 = (x0 as i64 + dx) as usize * BPP;
+        dst.extend_from_slice(&rrow[r0..r0 + (x1 - x0) as usize * BPP]);
     } else {
         for x in x0..x1 {
-            let rx = (x as i64 + dx).clamp(0, pw as i64 - 1) as usize;
-            pred_row.push(rrow[rx]);
+            let rx = (x as i64 + dx).clamp(0, pw as i64 - 1) as usize * BPP;
+            // A byte at a time, so the encoder's one-byte instance stays
+            // a single push per pixel.
+            for b in 0..BPP {
+                dst.push(rrow[rx + b]);
+            }
         }
     }
 }
 
 /// Appends the motion-compensated prediction for the whole pixel row
-/// `y` to `dst`, coalescing adjacent macroblocks that share a motion
-/// vector into one [`predict_span`] call (static regions make runs of
-/// equal vectors, so most rows collapse to a handful of long copies).
-/// `mvs_row` holds the row's per-macroblock vectors, left to right.
-#[inline]
-fn predict_mb_row(dst: &mut Vec<u8>, rdata: &[u8], pw: u32, ph: u32, y: u32, mvs_row: &[(i8, i8)]) {
+/// `y` to `dst`, `BPP` bytes a pixel as in [`predict_span`], coalescing
+/// adjacent macroblocks that share a motion vector into one
+/// [`predict_span`] call (static regions make runs of equal vectors, so
+/// most rows collapse to a handful of long copies). `mvs_row` holds the
+/// row's per-macroblock vectors, left to right.
+// Out of line: inlined into `encode_plane_inter`, the one-byte
+// instance's only caller, it doubles that function and slows encoding.
+#[inline(never)]
+fn predict_mb_row<const BPP: usize>(
+    dst: &mut Vec<u8>,
+    rdata: &[u8],
+    pw: u32,
+    ph: u32,
+    y: u32,
+    mvs_row: &[(i8, i8)],
+) {
     let cols = mvs_row.len();
     let mut col = 0usize;
     while col < cols {
@@ -664,7 +696,7 @@ fn predict_mb_row(dst: &mut Vec<u8>, rdata: &[u8], pw: u32, ph: u32, y: u32, mvs
             col += 1;
         }
         let x1 = (col as u32 * MB).min(pw);
-        predict_span(dst, rdata, pw, ph, y, x0, x1, mv.0 as i64, mv.1 as i64);
+        predict_span::<BPP>(dst, rdata, pw, ph, y, x0, x1, mv.0 as i64, mv.1 as i64);
     }
 }
 
@@ -688,7 +720,7 @@ fn encode_plane_inter(
     let mut recon = Vec::with_capacity(n);
     for y in 0..ph {
         let mb_row = ((y / MB) * cols) as usize;
-        predict_mb_row(&mut recon, rdata, pw, ph, y, &mvs[mb_row..mb_row + cols as usize]);
+        predict_mb_row::<1>(&mut recon, rdata, pw, ph, y, &mvs[mb_row..mb_row + cols as usize]);
     }
     levels.clear();
     levels.extend(src.data().iter().zip(recon.iter_mut()).map(|(&sample, pred)| {
@@ -700,32 +732,37 @@ fn encode_plane_inter(
     Plane::from_raw(pw, ph, recon)
 }
 
-fn decode_plane_inter(
+/// Inter-decodes a P-frame's three planes into one RGB buffer, predicted
+/// from `reference`, the last frame decoded.
+fn decode_inter(
     r: &mut BitReader<'_>,
-    reference: &Plane,
+    reference: &Frame,
     mvs: &[(i8, i8)],
     q: i64,
-) -> Result<Plane> {
-    let (pw, ph) = (reference.width(), reference.height());
-    let (cols, _) = mb_grid(pw, ph);
-    let n = (pw * ph) as usize;
-    let rdata = reference.data();
+) -> Result<Vec<u8>> {
+    let (w, h) = (reference.width(), reference.height());
+    let (cols, _) = mb_grid(w, h);
+    let n = (w * h) as usize;
     // The prediction IS the reconstruction wherever the residual is
-    // zero, so build the motion-compensated prediction directly into
-    // the output buffer (mostly row-span copies) and then patch only
-    // the nonzero samples in place, as the stream names them.
-    let mut recon = Vec::with_capacity(n);
-    for y in 0..ph {
+    // zero, so build the motion-compensated prediction of all three
+    // channels directly into the output buffer (mostly row-span copies
+    // of RGB pixels), then patch only the nonzero samples of each
+    // channel in place, as the stream names them.
+    let mut rgb = Vec::with_capacity(3 * n);
+    for y in 0..h {
         let mb_row = ((y / MB) * cols) as usize;
-        predict_mb_row(&mut recon, rdata, pw, ph, y, &mvs[mb_row..mb_row + cols as usize]);
+        let mvs_row = &mvs[mb_row..mb_row + cols as usize];
+        predict_mb_row::<3>(&mut rgb, reference.raw(), w, h, y, mvs_row);
     }
-    let mut i = 0;
-    read_residuals(r, n, |run, level| {
-        i += run;
-        recon[i] = (i64::from(recon[i]) + level * q).clamp(0, 255) as u8;
-        i += 1;
-    })?;
-    Ok(Plane::from_raw(pw, ph, recon))
+    for channel in 0..3 {
+        let mut at = channel;
+        read_residuals(r, n, |run, level| {
+            at += 3 * run;
+            rgb[at] = (i64::from(rgb[at]) + level * q).clamp(0, 255) as u8;
+            at += 3;
+        })?;
+    }
+    Ok(rgb)
 }
 
 /// The encoder.
@@ -994,27 +1031,26 @@ impl Decoder {
 }
 
 /// Decodes frames `[start, end)` where `start` must be a keyframe.
+///
+/// Each coded frame is decoded straight into one `w × h × 3` buffer,
+/// wrapped once as a [`Frame`], and the last frame output is the next
+/// P-frame's reference, so no colour plane is built.
 fn decode_gop(video: &EncodedVideo, start: usize, end: usize) -> Result<Vec<Frame>> {
     let q = video
         .quality
         .qstep();
     let (w, h) = (video.width, video.height);
-    if w == 0 || h == 0 {
+    if w == 0 || h == 0 || w > MAX_DIM || h > MAX_DIM {
         return Err(MediaError::InvalidDimensions { dims: (w, h) });
     }
-    let mut out = Vec::with_capacity(end - start);
-    let mut reference: Option<[Plane; 3]> = None;
+    let mut out: Vec<Frame> = Vec::with_capacity(end - start);
     for idx in start..end {
         let ef = &video.frames[idx];
         let mut r = BitReader::new(&ef.data);
-        let planes = match ef.kind {
-            FrameKind::Intra => [
-                decode_plane_intra(&mut r, w, h, q)?,
-                decode_plane_intra(&mut r, w, h, q)?,
-                decode_plane_intra(&mut r, w, h, q)?,
-            ],
+        let rgb = match ef.kind {
+            FrameKind::Intra => decode_intra(&mut r, w, h, q)?,
             FrameKind::Inter => {
-                let refp = reference.as_ref().ok_or_else(|| {
+                let reference = out.last().ok_or_else(|| {
                     MediaError::CorruptBitstream(format!("P-frame {idx} without reference"))
                 })?;
                 let (cols, rows) = mb_grid(w, h);
@@ -1029,29 +1065,19 @@ fn decode_gop(video: &EncodedVideo, start: usize, end: usize) -> Result<Vec<Fram
                     }
                     mvs.push((dx as i8, dy as i8));
                 }
-                [
-                    decode_plane_inter(&mut r, &refp[0], &mvs, q)?,
-                    decode_plane_inter(&mut r, &refp[1], &mvs, q)?,
-                    decode_plane_inter(&mut r, &refp[2], &mvs, q)?,
-                ]
+                decode_inter(&mut r, reference, &mvs, q)?
             }
             FrameKind::Skip => {
-                if reference.is_none() {
-                    return Err(MediaError::CorruptBitstream(format!(
-                        "SKIP frame {idx} without reference"
-                    )));
-                }
-                // Re-show the previous output (an Arc bump): a SKIP
-                // decodes in O(1) instead of re-merging three planes,
-                // and the reference planes stay as-is.
-                let prev: Frame =
-                    out.last().cloned().expect("reference implies a prior output frame");
+                // Re-show the previous output (an Arc bump), which is
+                // also the reference, so a SKIP decodes in O(1).
+                let prev = out.last().cloned().ok_or_else(|| {
+                    MediaError::CorruptBitstream(format!("SKIP frame {idx} without reference"))
+                })?;
                 out.push(prev);
                 continue;
             }
         };
-        out.push(Plane::merge(&planes));
-        reference = Some(planes);
+        out.push(Frame::from_raw(w, h, rgb)?);
     }
     Ok(out)
 }
@@ -1189,6 +1215,26 @@ mod tests {
         let frames = dec.decode_all(&one_pixel_stream([-255, 255])).unwrap().frames;
         assert_eq!(frames[0].get(0, 0).unwrap().r, 0);
         assert_eq!(frames[1].get(0, 0).unwrap().r, 255);
+    }
+
+    #[test]
+    fn streams_past_max_dim_are_rejected_before_decoding() {
+        for dims in [(MAX_DIM + 1, 1), (1, MAX_DIM + 1)] {
+            // One keyframe whose three planes are each one zero run.
+            let mut w = BitWriter::new();
+            for _ in 0..3 {
+                w.put_ue(u64::from(dims.0 * dims.1));
+            }
+            let frames = vec![EncodedFrame { kind: FrameKind::Intra, data: w.finish() }];
+            let video =
+                EncodedVideo::new(dims.0, dims.1, FrameRate::FPS30, Quality::Low, 1, frames);
+            let dec = Decoder::default();
+            let rejected =
+                |e: MediaError| matches!(e, MediaError::InvalidDimensions { dims: d } if d == dims);
+            assert!(rejected(dec.decode_all(&video).unwrap_err()), "{dims:?}");
+            assert!(rejected(dec.decode_gop_at(&video, 0).unwrap_err()), "{dims:?}");
+            assert!(rejected(dec.decode_frame(&video, 0).unwrap_err()), "{dims:?}");
+        }
     }
 
     #[test]

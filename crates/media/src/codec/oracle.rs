@@ -2,7 +2,8 @@
 //!
 //! The sparse residual decoder reads a plane's tokens one
 //! `get_ue`/`get_se` pair at a time into an `(index, level)` vector, then
-//! reconstructs from that. The live decoder must return the same frames
+//! reconstructs from that, one plane per channel, and interleaves the
+//! three planes into the frame with its own `merge`. The live decoder must return the same frames
 //! from every encoder stream, and from a stream with a flipped byte it
 //! must fail wherever this one fails. It may also fail where this one
 //! succeeds, but only on a level past ±255, which no encoder writes and
@@ -105,13 +106,28 @@ fn decode_plane_inter(
     let mut recon = Vec::with_capacity(n);
     for y in 0..ph {
         let mb_row = ((y / MB) * cols) as usize;
-        predict_mb_row(&mut recon, rdata, pw, ph, y, &mvs[mb_row..mb_row + cols as usize]);
+        predict_mb_row::<1>(&mut recon, rdata, pw, ph, y, &mvs[mb_row..mb_row + cols as usize]);
     }
     for &(pos, val) in &sparse {
         let pred = recon[pos] as i64;
         recon[pos] = (pred + val * q).clamp(0, 255) as u8;
     }
     Ok(Plane::from_raw(pw, ph, recon))
+}
+
+/// Rebuilds an RGB frame from three planes (which must share a shape).
+pub(super) fn merge(planes: &[Plane; 3]) -> Frame {
+    let (w, h) = (planes[0].width(), planes[0].height());
+    debug_assert!(planes.iter().all(|p| p.width() == w && p.height() == h));
+    let mut data = vec![0u8; (w * h * 3) as usize];
+    let rgb = data.chunks_exact_mut(3);
+    let chans = planes[0].data().iter().zip(planes[1].data().iter()).zip(planes[2].data().iter());
+    for (px, ((&r, &g), &b)) in rgb.zip(chans) {
+        px[0] = r;
+        px[1] = g;
+        px[2] = b;
+    }
+    Frame::from_raw(w, h, data).expect("merged plane dimensions are valid")
 }
 
 fn decode_gop(video: &EncodedVideo, start: usize, end: usize) -> Result<Vec<Frame>> {
@@ -167,7 +183,7 @@ fn decode_gop(video: &EncodedVideo, start: usize, end: usize) -> Result<Vec<Fram
                 continue;
             }
         };
-        out.push(Plane::merge(&planes));
+        out.push(merge(&planes));
         reference = Some(planes);
     }
     Ok(out)
@@ -225,13 +241,23 @@ fn gops(video: &EncodedVideo) -> Vec<(usize, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    // Whole streams, whole GOPs, and every prefix of a GOP: the decode
+    // `decode_frame` stops mid-GOP, with the count of frames it decoded.
     #[test]
     fn decoder_matches_oracle_on_encoder_streams(video in stream()) {
+        let dec = Decoder::default();
         let mut oracle = Vec::new();
         for (start, end) in gops(&video) {
-            oracle.extend(decode_gop(&video, start, end).expect("the oracle decodes it"));
+            let frames = decode_gop(&video, start, end).expect("the oracle decodes it");
+            prop_assert_eq!(&dec.decode_gop_at(&video, start).unwrap(), &frames);
+            for i in start..end {
+                let (frame, count) = dec.decode_frame(&video, i).unwrap();
+                prop_assert_eq!(&frame, &frames[i - start]);
+                prop_assert_eq!(count, i - start + 1);
+            }
+            oracle.extend(frames);
         }
-        prop_assert_eq!(Decoder::default().decode_all(&video).unwrap().frames, oracle);
+        prop_assert_eq!(dec.decode_all(&video).unwrap().frames, oracle);
     }
 
     #[test]

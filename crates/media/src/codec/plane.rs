@@ -1,8 +1,9 @@
 //! Colour planes and motion compensation.
 //!
-//! The codec works on separated 8-bit planes (R, G, B, plus a derived luma
-//! plane used only for motion search). Planes support clamped sampling so
-//! motion vectors may point partially outside the reference frame.
+//! The encoder works on separated 8-bit planes (R, G, B, plus a derived
+//! luma plane used only for motion search); the decoder reconstructs
+//! straight into RGB frames. Planes support clamped sampling so motion
+//! vectors may point partially outside the reference frame.
 
 use std::sync::Arc;
 
@@ -11,12 +12,11 @@ use crate::frame::Frame;
 
 /// One 8-bit channel of a frame.
 ///
-/// Samples live behind an [`Arc`], so cloning a plane (reference frames
-/// in the encoder, SKIP reconstruction in the decoder) shares the
-/// buffer instead of copying it; the first mutation of a shared plane
-/// copies on write via [`Arc::make_mut`]. Hot producers should build
-/// the full sample buffer and wrap it once with [`Plane::from_raw`]
-/// rather than calling [`Plane::set`] per pixel.
+/// Samples live behind an [`Arc`], so cloning a plane (the encoder's
+/// reference frames) shares the buffer instead of copying it; the first
+/// mutation of a shared plane copies on write via [`Arc::make_mut`]. Hot
+/// producers should build the full sample buffer and wrap it once with
+/// [`Plane::from_raw`] rather than calling [`Plane::set`] per pixel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plane {
     width: u32,
@@ -115,21 +115,6 @@ impl Plane {
         [Plane::from_raw(w, h, r), Plane::from_raw(w, h, g), Plane::from_raw(w, h, b)]
     }
 
-    /// Rebuilds an RGB frame from three planes (which must share a shape).
-    pub fn merge(planes: &[Plane; 3]) -> Frame {
-        let (w, h) = (planes[0].width, planes[0].height);
-        debug_assert!(planes.iter().all(|p| p.width == w && p.height == h));
-        let mut data = vec![0u8; (w * h * 3) as usize];
-        let rgb = data.chunks_exact_mut(3);
-        let chans = planes[0].data.iter().zip(planes[1].data.iter()).zip(planes[2].data.iter());
-        for (px, ((&r, &g), &b)) in rgb.zip(chans) {
-            px[0] = r;
-            px[1] = g;
-            px[2] = b;
-        }
-        Frame::from_raw(w, h, data).expect("merged plane dimensions are valid")
-    }
-
     /// Derives the luma plane of a frame (for motion search only).
     pub fn luma_of(frame: &Frame) -> Plane {
         let data: Vec<u8> = frame
@@ -141,8 +126,8 @@ impl Plane {
     }
 
     /// Derives the luma plane directly from split colour planes —
-    /// identical samples to `luma_of(&Plane::merge(planes))` without
-    /// materialising the merged RGB frame (the encoder calls this once
+    /// identical samples to [`Plane::luma_of`] on the frame they make,
+    /// without materialising that RGB frame (the encoder calls this once
     /// per inter frame).
     pub fn luma_of_planes(planes: &[Plane; 3]) -> Plane {
         let (w, h) = (planes[0].width, planes[0].height);
@@ -316,7 +301,7 @@ mod tests {
         assert_eq!(planes[0].at(1, 2), 9);
         assert_eq!(planes[1].at(1, 2), 8);
         assert_eq!(planes[2].at(1, 2), 7);
-        let back = Plane::merge(&planes);
+        let back = crate::codec::oracle::merge(&planes);
         assert_eq!(back, f);
     }
 

@@ -194,6 +194,8 @@ impl FootageSpec {
     /// Draws a randomised multi-shot spec: `n_shots` shots of
     /// `min_len..=max_len` frames each, distinct backdrops, 1–3 sprites per
     /// shot, mild drift and noise. Deterministic for a given RNG state.
+    /// Any frame size works: on frames too small for a sprite-size range,
+    /// the sprite takes the smallest size, 2.
     pub fn random<R: Rng>(
         rng: &mut R,
         width: u32,
@@ -213,11 +215,11 @@ impl FootageSpec {
                 .map(|_| {
                     let shape = if rng.gen_bool(0.5) {
                         SpriteShape::Rect(
-                            rng.gen_range(width / 16..width / 4).max(2),
-                            rng.gen_range(height / 16..height / 4).max(2),
+                            draw_or_start(rng, width / 16..width / 4).max(2),
+                            draw_or_start(rng, height / 16..height / 4).max(2),
                         )
                     } else {
-                        SpriteShape::Circle(rng.gen_range(2..height / 6).max(2))
+                        SpriteShape::Circle(draw_or_start(rng, 2..height / 6).max(2))
                     };
                     SpriteSpec {
                         shape,
@@ -245,6 +247,17 @@ impl FootageSpec {
             shots,
             noise_seed: rng.gen(),
         }
+    }
+}
+
+/// A draw from `range`, or its start when it is empty, as sprite-size
+/// ranges are on frames under 4 pixels wide or 18 high: a non-empty
+/// range draws as [`Rng::gen_range`] does, and an empty one draws nothing.
+fn draw_or_start<R: Rng>(rng: &mut R, range: std::ops::Range<u32>) -> u32 {
+    if range.is_empty() {
+        range.start
+    } else {
+        rng.gen_range(range)
     }
 }
 
@@ -364,6 +377,20 @@ mod tests {
         let footage = s1.render().unwrap();
         assert_eq!(footage.cuts.len(), 3);
         assert!(footage.len() >= 4 * 8 && footage.len() <= 4 * 16);
+    }
+
+    #[test]
+    fn random_spec_renders_on_frames_too_small_for_its_sprite_ranges() {
+        // Below 4 pixels the rect sprite's size ranges are empty, and
+        // below 18 rows the circle sprite's.
+        for (width, height) in [(1, 1), (3, 3), (3, 40), (40, 3), (17, 17), (64, 17)] {
+            for seed in 0..8 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let spec = FootageSpec::random(&mut rng, width, height, 3, 2, 4);
+                let footage = spec.render().unwrap();
+                assert!(footage.frames.iter().all(|f| (f.width(), f.height()) == (width, height)));
+            }
+        }
     }
 
     #[test]
